@@ -43,9 +43,9 @@ use rt_stg::engine::ReachEngine;
 use rt_stg::{corpus, models};
 use rt_synth::csc::{resolve_csc_engine, CscOptions};
 
-/// The measured request mix: summary + symbolic CSC check for every
-/// corpus model small enough for the symbolic detector (≤ 64 signals),
-/// plus one full CSC resolution.
+/// The measured request mix: summary + CSC check for every corpus
+/// model small enough for the symbolic detector (≤ 64 signals), plus
+/// one full CSC resolution.
 fn workload(fast: bool) -> Vec<(String, Request)> {
     let mut out = Vec::new();
     let mut kept = 0usize;
@@ -74,7 +74,9 @@ fn workload(fast: bool) -> Vec<(String, Request)> {
     out
 }
 
-/// Asserts one service answer equals a fresh direct engine call.
+/// Asserts one service answer equals a fresh direct call on the
+/// *symbolic* engine — so on the default Auto pool, which answers these
+/// nets explicitly, it is also a cross-backend pin.
 fn assert_direct(name: &str, request: &Request, payload: &ResponsePayload) {
     let mut engine = ReachEngine::symbolic();
     match (&request.payload, payload) {
@@ -87,6 +89,11 @@ fn assert_direct(name: &str, request: &Request, payload: &ResponsePayload) {
             let direct = engine.csc_conflicts_symbolic(stg).expect("direct csc");
             assert_eq!(outcome.markings, direct.markings, "{name}");
             assert_eq!(outcome.conflicts, direct.conflicts, "{name}");
+            assert_eq!(outcome.deadlock_free, direct.deadlock_free, "{name}");
+            assert_eq!(
+                outcome.strongly_connected, direct.strongly_connected,
+                "{name}"
+            );
         }
         (RequestPayload::ResolveCsc { stg, options }, ResponsePayload::ResolveCsc(outcome)) => {
             let direct = resolve_csc_engine(stg, options, &mut engine).expect("direct resolve");
@@ -192,20 +199,27 @@ fn main() {
         stats.degraded,
         stats.errors
     );
+    println!(
+        "service: engine answers explicit {}  symbolic {}",
+        stats.explicit_answers, stats.symbolic_answers
+    );
 
     let mut section = String::from("  \"service\": {");
     let _ = write!(
         section,
         "\"requests\": {requests}, \"requests_per_s\": {requests_per_s:.0}, \
          \"cache_hit_rate\": {:.3}, \"shed\": {}, \"retries\": {}, \
-         \"quarantines\": {}, \"worker_panics\": {}, \"degraded\": {}, \"errors\": {}}}",
+         \"quarantines\": {}, \"worker_panics\": {}, \"degraded\": {}, \"errors\": {}, \
+         \"explicit_answers\": {}, \"symbolic_answers\": {}}}",
         stats.cache_hit_rate(),
         stats.shed,
         stats.retries,
         stats.quarantines,
         stats.worker_panics,
         stats.degraded,
-        stats.errors
+        stats.errors,
+        stats.explicit_answers,
+        stats.symbolic_answers
     );
     // Wire pass: the identical workload over TCP through the
     // self-healing client (the recommended front door), every reply

@@ -179,6 +179,13 @@ impl Daemon {
         }
     }
 
+    /// Connection-handler threads the daemon still holds a join handle
+    /// for. Finished handlers are reaped on every accept, so this tracks
+    /// the live connections, not every connection ever served.
+    pub fn retained_handlers(&self) -> usize {
+        lock(&self.shared.handlers).len()
+    }
+
     /// The owned service's counters (admissions, cache traffic,
     /// [`ServiceStats::batch_dedup_hits`], …).
     pub fn service_stats(&self) -> ServiceStats {
@@ -262,6 +269,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<DaemonShared>) {
         let id = next_id;
         next_id += 1;
         shared.connections.fetch_add(1, Ordering::Relaxed);
+        // Reap the handlers that have exited, so the list holds live
+        // connections rather than every connection ever served.
+        lock(&shared.handlers).retain(|handler| !handler.is_finished());
         let busy = Arc::new(AtomicBool::new(false));
         if let Ok(clone) = stream.try_clone() {
             lock(&shared.streams).push(ConnEntry {
@@ -271,14 +281,27 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<DaemonShared>) {
             });
         }
         let handler_shared = Arc::clone(shared);
-        let handler = std::thread::Builder::new()
-            .name(format!("rt-daemon-conn-{id}"))
-            .spawn(move || {
-                serve_connection(stream, &handler_shared, id, &busy);
-                lock(&handler_shared.streams).retain(|entry| entry.id != id);
-            })
-            .expect("spawn connection handler");
-        lock(&shared.handlers).push(handler);
+        let serve = move || {
+            serve_connection(stream, &handler_shared, id, &busy);
+            lock(&handler_shared.streams).retain(|entry| entry.id != id);
+        };
+        let spawned = if faults::daemon_spawn_fail(id as usize) {
+            Err(io::Error::other("injected handler spawn failure"))
+        } else {
+            std::thread::Builder::new()
+                .name(format!("rt-daemon-conn-{id}"))
+                .spawn(serve)
+        };
+        match spawned {
+            Ok(handler) => lock(&shared.handlers).push(handler),
+            Err(_) => {
+                // No thread to serve it: close the connection (the
+                // failed spawn dropped its stream; this drops the
+                // shutdown clone), count it as lost, keep accepting.
+                lock(&shared.streams).retain(|entry| entry.id != id);
+                shared.disconnects.fetch_add(1, Ordering::Relaxed);
+            }
+        }
     }
 }
 

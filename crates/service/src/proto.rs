@@ -112,6 +112,10 @@ pub const PROTO_VERSION: u8 = 2;
 /// model; an announcement past it is treated as garbage, not obeyed.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
 
+/// Most bytes [`read_frame`] reserves before any payload byte arrives;
+/// longer frames grow their buffer as their bytes are read.
+const FRAME_RESERVE: usize = 64 << 10;
+
 /// Message kind of a client→daemon [`Request`] frame.
 pub const MSG_REQUEST: u8 = 0x01;
 /// Message kind of a daemon→client reply frame.
@@ -244,8 +248,17 @@ pub fn read_frame(reader: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             format!("announced frame length {len} exceeds MAX_FRAME_LEN"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload)?;
+    // Allocate for the bytes that arrive, not for the announcement: a
+    // peer that sends a 4-byte header claiming `MAX_FRAME_LEN` and then
+    // stalls or closes costs at most `FRAME_RESERVE` bytes.
+    let mut payload = Vec::with_capacity(len.min(FRAME_RESERVE));
+    reader.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "EOF inside a frame payload",
+        ));
+    }
     Ok(Some(payload))
 }
 
@@ -1735,6 +1748,40 @@ mod tests {
         let mut reader = io::Cursor::new(header.to_vec());
         let err = read_frame(&mut reader).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// A reader that serves `bytes` then EOF, recording the largest
+    /// buffer a caller offered it — the allocation `read_frame` had
+    /// made by then.
+    struct Recording {
+        bytes: io::Cursor<Vec<u8>>,
+        largest_buffer: usize,
+    }
+
+    impl Read for Recording {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest_buffer = self.largest_buffer.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn lying_headers_cost_only_the_bytes_that_arrive() {
+        for sent in [0usize, 1, 100 << 10] {
+            let mut bytes = (MAX_FRAME_LEN as u32).to_le_bytes().to_vec();
+            bytes.resize(4 + sent, 7u8);
+            let mut reader = Recording {
+                bytes: io::Cursor::new(bytes),
+                largest_buffer: 0,
+            };
+            let err = read_frame(&mut reader).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{sent} bytes");
+            assert!(
+                reader.largest_buffer <= FRAME_RESERVE.max(2 * sent),
+                "{sent} bytes received, a {}-byte buffer offered",
+                reader.largest_buffer
+            );
+        }
     }
 
     #[test]

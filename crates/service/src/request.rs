@@ -17,8 +17,10 @@ pub enum RequestPayload {
         /// The specification to analyse.
         stg: Stg,
     },
-    /// Full symbolic CSC conflict analysis of `stg` — counts, liveness
-    /// flags — without building an explicit state graph (≤ 64 signals).
+    /// CSC conflict analysis of `stg` — markings, conflict count,
+    /// liveness flags — through [`rt_stg::ReachEngine::csc_check`]
+    /// (backend per [`crate::ServiceConfig::backend`]; ≤ 64 signals).
+    /// The answer is the same whichever analyser produces it.
     CscCheck {
         /// The specification to analyse.
         stg: Stg,
@@ -169,18 +171,8 @@ pub struct SummaryOutcome {
     pub iterations: usize,
 }
 
-/// Result of a symbolic CSC conflict analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CscCheckOutcome {
-    /// Reachable markings (the audit count).
-    pub markings: u64,
-    /// Total CSC conflict pairs.
-    pub conflicts: u64,
-    /// Whether every reachable marking enables something.
-    pub deadlock_free: bool,
-    /// Whether every reachable marking can return to the initial one.
-    pub strongly_connected: bool,
-}
+/// Result of a CSC check: the engine's backend-independent answer.
+pub type CscCheckOutcome = rt_stg::engine::CscCheck;
 
 /// Result of a CSC resolution. Compared by *content*: two outcomes are
 /// equal when their rewritten STGs hash equal and the inserted signals,

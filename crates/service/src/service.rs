@@ -85,8 +85,7 @@ use rt_verify::{verify_with_budget, VerifyOptions};
 use crate::cache::{request_key, MemoCache};
 use crate::error::ServiceError;
 use crate::request::{
-    CscCheckOutcome, Request, RequestPayload, ResolveOutcome, Response, ResponsePayload,
-    SummaryOutcome,
+    Request, RequestPayload, ResolveOutcome, Response, ResponsePayload, SummaryOutcome,
 };
 
 /// Tuning of one [`SynthService`]. `Default` is sized for tests and
@@ -115,7 +114,12 @@ pub struct ServiceConfig {
     /// Baseline budget each request runs under; a request deadline is
     /// layered on top of a fresh clone per request.
     pub budget: Budget,
-    /// Backend of the pooled engines.
+    /// Backend of the pooled engines. Defaults to
+    /// [`ReachBackend::Auto`]: summaries and CSC checks of nets under
+    /// [`rt_stg::engine::AUTO_EXPLICIT_STATES`] states are answered by
+    /// the explicit walk, larger ones by the warm symbolic manager, and
+    /// the answers are the same either way. Resolutions run exactly as
+    /// on [`ReachBackend::Symbolic`] (symbolic audit included).
     pub backend: ReachBackend,
     /// Per-client fairness quota: how many requests one client identity
     /// ([`Request::client`]) may have admitted-but-incomplete at once.
@@ -148,7 +152,7 @@ impl Default for ServiceConfig {
             max_backoff: Duration::from_millis(10),
             quarantine_threshold: 2,
             budget: Budget::default(),
-            backend: ReachBackend::Symbolic,
+            backend: ReachBackend::Auto,
             max_inflight_per_client: 0,
             idempotency_capacity: 256,
             io_timeout: Duration::from_secs(30),
@@ -328,6 +332,8 @@ struct Counters {
     worker_panics: AtomicU64,
     degraded: AtomicU64,
     errors: AtomicU64,
+    explicit_answers: AtomicU64,
+    symbolic_answers: AtomicU64,
 }
 
 /// A point-in-time snapshot of the service counters
@@ -367,6 +373,13 @@ pub struct ServiceStats {
     pub degraded: u64,
     /// Requests that ended in a typed error.
     pub errors: u64,
+    /// Set-level engine answers (summaries, CSC checks) produced by the
+    /// explicit walk, summed over the pool's
+    /// [`rt_stg::engine::EngineStats::explicit_answers`].
+    pub explicit_answers: u64,
+    /// Set-level engine answers produced by the symbolic manager
+    /// ([`rt_stg::engine::EngineStats::symbolic_answers`]).
+    pub symbolic_answers: u64,
 }
 
 impl ServiceStats {
@@ -741,6 +754,8 @@ impl SynthService {
             worker_panics: c.worker_panics.load(Ordering::Relaxed),
             degraded: c.degraded.load(Ordering::Relaxed),
             errors: c.errors.load(Ordering::Relaxed),
+            explicit_answers: c.explicit_answers.load(Ordering::Relaxed),
+            symbolic_answers: c.symbolic_answers.load(Ordering::Relaxed),
         }
     }
 
@@ -784,6 +799,12 @@ fn build_engine(config: &ServiceConfig) -> ReachEngine {
     ReachEngine::new(config.backend).with_budget(config.budget.clone())
 }
 
+/// The engine's `(explicit_answers, symbolic_answers)` counters.
+fn answer_counts(engine: &ReachEngine) -> (u64, u64) {
+    let stats = engine.stats();
+    (stats.explicit_answers as u64, stats.symbolic_answers as u64)
+}
+
 fn worker_loop(shared: &Shared) {
     let config = &shared.config;
     let counters = &shared.counters;
@@ -820,12 +841,20 @@ fn worker_loop(shared: &Shared) {
         if let Some(stall) = faults::service_stall(job.seq) {
             thread::sleep(stall);
         }
+        let (explicit_before, symbolic_before) = answer_counts(&engine);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if faults::service_panic(job.seq) {
                 panic!("injected service-worker fault");
             }
             process(&mut engine, config, counters, &job)
         }));
+        let (explicit_after, symbolic_after) = answer_counts(&engine);
+        counters
+            .explicit_answers
+            .fetch_add(explicit_after - explicit_before, Ordering::Relaxed);
+        counters
+            .symbolic_answers
+            .fetch_add(symbolic_after - symbolic_before, Ordering::Relaxed);
         let reply = match outcome {
             Ok(reply) => {
                 match &reply {
@@ -979,15 +1008,7 @@ fn run_once(
                 iterations: summary.iterations,
             }))
         }
-        RequestPayload::CscCheck { stg } => {
-            let analysis = engine.csc_conflicts_symbolic(stg)?;
-            Ok(ResponsePayload::CscCheck(CscCheckOutcome {
-                markings: analysis.markings,
-                conflicts: analysis.conflicts,
-                deadlock_free: analysis.deadlock_free,
-                strongly_connected: analysis.strongly_connected,
-            }))
-        }
+        RequestPayload::CscCheck { stg } => Ok(ResponsePayload::CscCheck(engine.csc_check(stg)?)),
         RequestPayload::ResolveCsc { stg, options } => {
             let resolution = resolve_csc_engine(stg, options, engine)?;
             Ok(ResponsePayload::ResolveCsc(Box::new(ResolveOutcome {

@@ -267,6 +267,7 @@ fn garbage_and_version_mismatch_get_protocol_errors_then_the_connection_closes()
 #[cfg(feature = "fault-injection")]
 mod faulted {
     use super::*;
+    use rt_stg::engine::ReachBackend;
     use rt_stg::faults::{arm, suite, Fault};
 
     #[test]
@@ -296,7 +297,13 @@ mod faulted {
     #[test]
     fn injected_exhaustion_retries_and_stays_bit_identical_over_tcp() {
         let _suite = suite();
-        let daemon = ephemeral_daemon();
+        // Symbolic, so the csc_check really runs the BDD fixpoint the
+        // node-exhaustion fault fires in (Auto answers fifo explicitly).
+        let config = ServiceConfig {
+            backend: ReachBackend::Symbolic,
+            ..ServiceConfig::default()
+        };
+        let daemon = Daemon::bind(config, "127.0.0.1:0").expect("bind ephemeral port");
         let mut client = DaemonClient::connect(daemon.local_addr()).expect("connect");
         let _fault = arm(Fault::ExhaustNodesAt { iteration: 1 }, 2);
         let response = client

@@ -141,13 +141,19 @@ fn concurrent_clients_match_serial_direct_engine_calls() {
 #[cfg(feature = "fault-injection")]
 #[test]
 fn concurrent_clients_stay_deterministic_through_an_injected_panic() {
+    use rt_stg::engine::ReachBackend;
     use rt_stg::faults::{arm, Fault};
 
     let _suite = suite_guard();
     let models = corpus_slice();
     let expected = direct_expected(&models);
 
-    let service = SynthService::start(ServiceConfig::default());
+    // Symbolic, so request timings (and thus which flight admission 3
+    // is, and who joins it) stay those this scenario was written for.
+    let service = SynthService::start(ServiceConfig {
+        backend: ReachBackend::Symbolic,
+        ..ServiceConfig::default()
+    });
     let guard = arm(Fault::ServicePanicAt { request: 3 }, 1);
     let replies = hammer(&service, &models);
     drop(guard);

@@ -28,6 +28,16 @@ fn one_worker() -> ServiceConfig {
         .expect("one worker is a valid pool")
 }
 
+/// One worker on the symbolic backend: the node-exhaustion and
+/// quarantine cases need the BDD fixpoint their fault fires in, which
+/// the Auto default skips for nets this small.
+fn one_symbolic_worker() -> ServiceConfig {
+    ServiceConfig {
+        backend: ReachBackend::Symbolic,
+        ..one_worker()
+    }
+}
+
 fn fifo_markings(response: &rt_service::Response) -> u64 {
     match &response.payload {
         ResponsePayload::Summary(outcome) => outcome.markings,
@@ -64,7 +74,7 @@ fn injected_worker_panic_is_typed_and_the_engine_is_rebuilt() {
 #[test]
 fn injected_node_exhaustion_is_absorbed_by_the_service_retry() {
     let _suite = serial();
-    let service = SynthService::start(one_worker());
+    let service = SynthService::start(one_symbolic_worker());
     // Two shots: the engine's own attempt + trim-retry both fail, so
     // the failure escapes the engine and exercises the service loop.
     let _fault = arm(Fault::ExhaustNodesAt { iteration: 1 }, 2);
@@ -97,7 +107,7 @@ fn repeated_exhaustion_strikes_out_and_quarantines_the_engine() {
     let config = ServiceConfig {
         max_retries: 0,
         quarantine_threshold: 2,
-        ..one_worker()
+        ..one_symbolic_worker()
     };
     let service = SynthService::start(config);
     // Four shots: two requests × (attempt + engine trim-retry), both
@@ -158,6 +168,50 @@ fn injected_state_exhaustion_degrades_and_the_cache_keeps_it_partial() {
     let stats = service.stats();
     assert_eq!(stats.errors, 0);
     assert!(stats.degraded >= 1);
+}
+
+#[test]
+fn injected_state_exhaustion_under_auto_is_a_route_not_a_degradation() {
+    let _suite = serial();
+    let service = SynthService::start(one_worker());
+    assert_eq!(one_worker().backend, ReachBackend::Auto, "the default");
+    let direct = ReachEngine::symbolic()
+        .csc_conflicts_symbolic(&models::fifo_stg())
+        .expect("direct");
+    {
+        let _fault = arm(Fault::ExhaustStatesAt { round: 1 }, 1);
+        let response = service
+            .submit(Request::summary(models::fifo_stg()))
+            .expect("routed, not failed");
+        assert!(response.is_full_fidelity(), "{:?}", response.degradations);
+        assert_eq!(fifo_markings(&response), 18);
+    }
+    {
+        let _fault = arm(Fault::ExhaustStatesAt { round: 1 }, 1);
+        let response = service
+            .submit(Request::csc_check(models::fifo_stg()))
+            .expect("routed, not failed");
+        assert!(response.is_full_fidelity(), "{:?}", response.degradations);
+        match &response.payload {
+            ResponsePayload::CscCheck(outcome) => {
+                assert_eq!(outcome.markings, direct.markings);
+                assert_eq!(outcome.conflicts, direct.conflicts);
+                assert_eq!(outcome.deadlock_free, direct.deadlock_free);
+                assert_eq!(outcome.strongly_connected, direct.strongly_connected);
+            }
+            other => panic!("wrong payload kind: {other:?}"),
+        }
+    }
+    let stats = service.stats();
+    assert_eq!((stats.explicit_answers, stats.symbolic_answers), (0, 2));
+    assert_eq!((stats.degraded, stats.retries, stats.errors), (0, 0, 0));
+
+    // Without the fault the same requests (fresh structures, so no
+    // cache hit) are answered explicitly.
+    service
+        .submit(Request::summary(models::chain_stg(5)))
+        .expect("explicit summary");
+    assert_eq!(service.stats().explicit_answers, 1);
 }
 
 #[test]

@@ -8,7 +8,7 @@ use rt_netlist::cells::majority_celement;
 use rt_service::{
     Request, ResolveOutcome, ResponsePayload, ServiceConfig, ServiceError, SynthService,
 };
-use rt_stg::engine::{Degradation, ReachEngine};
+use rt_stg::engine::{Degradation, ReachBackend, ReachEngine};
 use rt_stg::{models, Budget, StgError};
 use rt_synth::csc::{resolve_csc_engine, CscOptions};
 use rt_verify::verify;
@@ -106,8 +106,10 @@ fn repeated_submissions_hit_the_memo_cache() {
 #[test]
 fn degraded_results_are_cached_with_their_degradations() {
     // A one-node BDD allowance forces the symbolic summary through its
-    // whole degradation chain down to the explicit walk.
+    // whole degradation chain down to the explicit walk. The backend is
+    // pinned: Auto would answer this small net explicitly up front.
     let config = ServiceConfig::builder()
+        .backend(ReachBackend::Symbolic)
         .budget(Budget::default().with_max_bdd_nodes(1))
         .build()
         .expect("a soft node cap is a valid configuration");

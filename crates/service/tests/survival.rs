@@ -359,3 +359,71 @@ mod faulted {
         );
     }
 }
+
+#[test]
+fn finished_handlers_are_reaped_as_new_connections_arrive() {
+    let _suite = suite_guard();
+    let daemon = short_deadline_daemon(Duration::from_secs(10));
+    for nonce in 0..16 {
+        let mut client = DaemonClient::connect(daemon.local_addr()).expect("connect");
+        assert_eq!(client.ping(nonce), Ok(nonce));
+    }
+    // Each accept reaps the handlers that have exited by then, so a
+    // daemon that has served 16 short connections does not keep 16
+    // join handles.
+    wait_until(Duration::from_secs(10), "handlers to be reaped", || {
+        let mut client = DaemonClient::connect(daemon.local_addr()).expect("connect");
+        assert_eq!(client.ping(99), Ok(99));
+        daemon.retained_handlers() <= 2
+    });
+    daemon.shutdown();
+}
+
+#[test]
+fn header_announcing_the_largest_frame_then_eof_is_a_disconnect() {
+    let _suite = suite_guard();
+    let daemon = short_deadline_daemon(Duration::from_secs(10));
+    let mut stream = TcpStream::connect(daemon.local_addr()).expect("connect");
+    stream
+        .write_all(&(proto::MAX_FRAME_LEN as u32).to_le_bytes())
+        .expect("header");
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    wait_until(Duration::from_secs(10), "the mid-frame EOF", || {
+        daemon.stats().disconnects >= 1
+    });
+    let mut client = DaemonClient::connect(daemon.local_addr()).expect("connect");
+    assert_eq!(client.ping(7), Ok(7), "the daemon keeps serving");
+    let stats = daemon.stats();
+    assert_eq!((stats.disconnects, stats.protocol_errors), (1, 0));
+    daemon.shutdown();
+}
+
+#[cfg(feature = "fault-injection")]
+#[test]
+fn failed_handler_spawn_drops_that_connection_and_keeps_accepting() {
+    use rt_stg::faults::{arm, Fault};
+
+    let _suite = suite_guard();
+    let daemon = short_deadline_daemon(Duration::from_secs(10));
+    let fault = arm(Fault::DaemonSpawnFailAt { connection: 0 }, 1);
+    let mut doomed = DaemonClient::connect(daemon.local_addr()).expect("the accept succeeds");
+    assert!(
+        doomed.ping(1).is_err(),
+        "no handler thread: the connection is closed unanswered"
+    );
+    drop(fault);
+    let mut client = DaemonClient::connect(daemon.local_addr()).expect("connect");
+    assert_eq!(client.ping(2), Ok(2), "the daemon still accepts");
+    let response = client
+        .submit(&Request::summary(models::fifo_stg()))
+        .expect("and serves");
+    match response.payload {
+        ResponsePayload::Summary(outcome) => assert_eq!(outcome.markings, 18),
+        other => panic!("wrong payload kind: {other:?}"),
+    }
+    let stats = daemon.stats();
+    assert_eq!((stats.connections, stats.disconnects), (2, 1));
+    daemon.shutdown();
+}

@@ -15,7 +15,7 @@
 //! ## Backend selection
 //!
 //! [`ReachBackend`] picks how **set-level** queries
-//! ([`ReachEngine::summary`]) are answered:
+//! ([`ReachEngine::summary`], [`ReachEngine::csc_check`]) are answered:
 //!
 //! * [`ReachBackend::Explicit`] — the packed-marking/interned-arena BFS
 //!   of [`crate::reach`], in a counting-only variant that skips codes
@@ -26,6 +26,18 @@
 //!   engine (see below). Scales with BDD structure instead of state
 //!   count and additionally yields the reachable set as a membership
 //!   oracle ([`ReachEngine::symbolic_set`]).
+//! * [`ReachBackend::Auto`] — cost-based routing: each query is first
+//!   answered explicitly under a state cap of
+//!   `min(budget.max_states, `[`AUTO_EXPLICIT_STATES`]`)`, and only a
+//!   net whose state space blows that cap is answered through the
+//!   symbolic path. Enumeration is 10–1000× cheaper than a BDD
+//!   fixpoint on every corpus net (fabric4x4's 5,312 states
+//!   included), so small state spaces never pay for a manager; large
+//!   ones still scale with BDD structure. Which analyser answered is
+//!   counted in [`EngineStats::explicit_answers`] /
+//!   [`EngineStats::symbolic_answers`]; the answers themselves
+//!   (markings, conflicts, deadlock and strong-connectivity flags, BFS
+//!   layers) are route-independent.
 //!
 //! [`ReachEngine::state_graph`] builds the full coded [`StateGraph`] —
 //! the object logic synthesis consumes — and is *intrinsically
@@ -135,6 +147,11 @@
 //! unreachable current-epoch garbage, so degradation policy stays
 //! purely budget-driven.
 //!
+//! Auto's route is **not** a degradation: a net that blows the Auto
+//! cap and is answered symbolically is a first-class answer, so no
+//! [`Degradation`] is recorded for it (only the rungs of the symbolic
+//! chain it then runs, exactly as on [`ReachBackend::Symbolic`]).
+//!
 //! Two things never degrade: the hard
 //! [`ExploreOptions::state_limit`] (an error contract callers rely on)
 //! and [`StgError::Cancelled`] (a demand to stop, honoured
@@ -151,7 +168,9 @@
 //!
 //! `rt-service` runs a pool of these engines as a long-lived,
 //! supervised synthesis/verification service, and the budget contract
-//! above is exactly what makes that safe. The division of labour:
+//! above is exactly what makes that safe. The pool's engines default to
+//! [`ReachBackend::Auto`], so its summaries and CSC checks of small
+//! nets never touch a BDD manager. The division of labour:
 //!
 //! * **The engine** owns per-request execution: budgets polled at
 //!   round/iteration granularity, the degradation chain, and the
@@ -230,13 +249,25 @@ use rt_boolean::Bdd;
 
 use crate::budget::Budget;
 use crate::error::StgError;
-use crate::reach::{count_markings_with, explore_with, ExploreOptions};
+use crate::reach::{count_markings_with, explore_with, ExplicitCount, ExploreOptions};
 use crate::state_graph::StateGraph;
 use crate::stg::Stg;
 use rt_boolean::bdd::NodeId;
 
 use crate::symbolic::csc::{csc_conflicts_symbolic_opts, CscAnalysis};
 use crate::symbolic::{reach_symbolic_with, SymbolicReach, VarOrder};
+
+/// State cap under which [`ReachBackend::Auto`] answers explicitly:
+/// the explicit attempt runs under
+/// `min(budget.max_states, AUTO_EXPLICIT_STATES)` and a net past it is
+/// answered symbolically. Sized so every corpus net (fabric4x4 at
+/// 5,312 states is the largest) stays explicit with an order of
+/// magnitude to spare, while a net that blows it wastes at most a few
+/// hundred milliseconds of enumeration before the symbolic route (a
+/// few times 10^5 states is where enumeration and a BDD fixpoint cost
+/// about the same on the ring family). A fixed contract, not a tuning
+/// knob.
+pub const AUTO_EXPLICIT_STATES: usize = 1 << 16;
 
 /// Which analyser answers the engine's set-level queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -246,6 +277,9 @@ pub enum ReachBackend {
     Explicit,
     /// BDD image computation in the engine's persistent manager.
     Symbolic,
+    /// Explicit under the [`AUTO_EXPLICIT_STATES`] cap, symbolic past
+    /// it (see the module docs' *Backend selection*).
+    Auto,
 }
 
 /// A backend-agnostic reachability answer.
@@ -253,14 +287,29 @@ pub enum ReachBackend {
 pub struct ReachSummary {
     /// Number of distinct reachable markings.
     pub markings: u64,
-    /// Fixpoint iterations (BFS layers). The two backends count layers
-    /// the same way, but silent-transition structure can make them
-    /// differ by the layer the initial marking is assigned to; treat as
-    /// a per-backend diagnostic, not a cross-backend invariant.
+    /// Fixpoint iterations (BFS layers). Both backends count layers the
+    /// same way, so this is route-independent under
+    /// [`ReachBackend::Auto`]; `crates/stg/tests/auto_route.rs` pins the
+    /// agreement over the corpus and every generated family.
     pub iterations: usize,
     /// Live BDD nodes in the engine's manager after the call (0 on the
     /// explicit backend).
     pub bdd_nodes: usize,
+}
+
+/// The backend-independent CSC check of [`ReachEngine::csc_check`]:
+/// the same four facts whichever analyser produced them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CscCheck {
+    /// Number of distinct reachable markings.
+    pub markings: u64,
+    /// Total CSC conflicts —
+    /// [`StateGraph::csc_conflicts`]`().len()`.
+    pub conflicts: u64,
+    /// Whether no reachable marking enables nothing.
+    pub deadlock_free: bool,
+    /// Whether every reachable marking can return to the initial one.
+    pub strongly_connected: bool,
 }
 
 /// One step of the engine's budget-degradation policy chain (see the
@@ -303,6 +352,11 @@ pub struct EngineStats {
     /// ([`ReachEngine::csc_conflicts_symbolic`]) — the gauge the
     /// no-explicit-graph encoding path is asserted with.
     pub symbolic_csc: usize,
+    /// Set-level answers ([`ReachEngine::summary`],
+    /// [`ReachEngine::csc_check`]) produced by the explicit walk.
+    pub explicit_answers: usize,
+    /// Set-level answers produced by the symbolic manager.
+    pub symbolic_answers: usize,
     /// Every degradation the engine performed, in order. Empty on a
     /// healthy run — the standard corpus under default budgets must
     /// keep it empty, which `bench_check` gates on.
@@ -322,6 +376,8 @@ impl EngineStats {
         self.trims += other.trims;
         self.collections += other.collections;
         self.symbolic_csc += other.symbolic_csc;
+        self.explicit_answers += other.explicit_answers;
+        self.symbolic_answers += other.symbolic_answers;
         self.degradations.extend_from_slice(&other.degradations);
     }
 }
@@ -434,8 +490,10 @@ impl ReachEngine {
     /// through the configured backend, degrading to the other backend
     /// on a *soft* budget overrun (see the module docs' *Budgets and
     /// degradation*; each fallback step is recorded in
-    /// [`EngineStats::degradations`]). The hard `state_limit` and
-    /// cancellation never degrade.
+    /// [`EngineStats::degradations`]). Under [`ReachBackend::Auto`] a
+    /// net past the explicit cap is routed to the symbolic chain
+    /// without a degradation. The hard `state_limit` and cancellation
+    /// never degrade.
     ///
     /// # Errors
     ///
@@ -444,53 +502,98 @@ impl ReachEngine {
     /// Either may additionally surface the budget errors of
     /// [`crate::budget::Budget`] when the fallback chain is exhausted.
     pub fn summary(&mut self, stg: &Stg) -> Result<ReachSummary, StgError> {
+        self.summary_on(self.backend, stg)
+    }
+
+    /// [`ReachEngine::summary`] through `backend` instead of the
+    /// configured one, for consumers that need a particular analyser's
+    /// answer — e.g. `rt-synth`'s symbolic audit, which must stay
+    /// symbolic on an [`ReachBackend::Auto`] engine.
+    ///
+    /// # Errors
+    ///
+    /// As [`ReachEngine::summary`].
+    pub fn summary_on(
+        &mut self,
+        backend: ReachBackend,
+        stg: &Stg,
+    ) -> Result<ReachSummary, StgError> {
         self.stats.summaries += 1;
-        match self.backend {
-            ReachBackend::Explicit => match self.explicit_summary(stg) {
-                Err(error @ StgError::StateBudgetExceeded { .. }) => {
-                    // Enumeration blew the soft budget. A symbolic run
-                    // scales with BDD structure instead of state count,
-                    // so serve it symbolically when the net fits the
-                    // engine's code-width contract.
-                    if stg.signal_count() <= 64 {
-                        self.stats
-                            .degradations
-                            .push(Degradation::ExplicitToSymbolic);
-                        self.symbolic_summary(stg)
-                    } else {
-                        Err(error)
-                    }
-                }
-                other => other,
-            },
-            ReachBackend::Symbolic => match self.symbolic_summary(stg) {
-                Err(error) if error.is_resource_exhaustion() => {
-                    // First rung: drop the memo caches — usually the
-                    // bulk of a mature manager's footprint — and retry
-                    // once. Trim never changes results (bit-identical
-                    // replay), only frees headroom.
-                    self.stats.degradations.push(Degradation::SymbolicTrimRetry);
-                    self.trim();
-                    match self.symbolic_summary(stg) {
-                        Err(retry) if retry.is_resource_exhaustion() => {
-                            // Second rung: the explicit counting walk,
-                            // under the same budget.
+        match backend {
+            ReachBackend::Explicit => {
+                match count_markings_with(stg, &self.options) {
+                    Err(error @ StgError::StateBudgetExceeded { .. }) => {
+                        // Enumeration blew the soft budget. A symbolic
+                        // run scales with BDD structure instead of state
+                        // count, so serve it symbolically when the net
+                        // fits the engine's code-width contract.
+                        if stg.signal_count() <= 64 {
                             self.stats
                                 .degradations
-                                .push(Degradation::SymbolicToExplicit);
-                            self.explicit_summary(stg)
+                                .push(Degradation::ExplicitToSymbolic);
+                            self.symbolic_summary(stg)
+                        } else {
+                            Err(error)
                         }
-                        other => other,
                     }
+                    other => self.explicit_summary(other),
                 }
-                other => other,
+            }
+            ReachBackend::Symbolic => self.symbolic_chain(stg),
+            ReachBackend::Auto => match count_markings_with(stg, &self.auto_options()) {
+                Err(StgError::StateBudgetExceeded { .. }) => self.symbolic_chain(stg),
+                other => self.explicit_summary(other),
             },
         }
     }
 
-    /// The explicit counting walk as a [`ReachSummary`].
-    fn explicit_summary(&mut self, stg: &Stg) -> Result<ReachSummary, StgError> {
-        let count = count_markings_with(stg, &self.options)?;
+    /// The symbolic summary with its degradation chain: trim-retry,
+    /// then the explicit counting walk.
+    fn symbolic_chain(&mut self, stg: &Stg) -> Result<ReachSummary, StgError> {
+        match self.symbolic_summary(stg) {
+            Err(error) if error.is_resource_exhaustion() => {
+                // First rung: drop the memo caches — usually the bulk of
+                // a mature manager's footprint — and retry once. Trim
+                // never changes results (bit-identical replay), only
+                // frees headroom.
+                self.stats.degradations.push(Degradation::SymbolicTrimRetry);
+                self.trim();
+                match self.symbolic_summary(stg) {
+                    Err(retry) if retry.is_resource_exhaustion() => {
+                        // Second rung: the explicit counting walk, under
+                        // the same budget.
+                        self.stats
+                            .degradations
+                            .push(Degradation::SymbolicToExplicit);
+                        let count = count_markings_with(stg, &self.options);
+                        self.explicit_summary(count)
+                    }
+                    other => other,
+                }
+            }
+            other => other,
+        }
+    }
+
+    /// The options of Auto's explicit attempt: the engine's, with the
+    /// soft state budget capped at [`AUTO_EXPLICIT_STATES`].
+    fn auto_options(&self) -> ExploreOptions {
+        let mut options = self.options.clone();
+        let cap = options
+            .budget
+            .max_states
+            .map_or(AUTO_EXPLICIT_STATES, |max| max.min(AUTO_EXPLICIT_STATES));
+        options.budget.max_states = Some(cap);
+        options
+    }
+
+    /// An explicit counting walk's result as a [`ReachSummary`].
+    fn explicit_summary(
+        &mut self,
+        count: Result<ExplicitCount, StgError>,
+    ) -> Result<ReachSummary, StgError> {
+        let count = count?;
+        self.stats.explicit_answers += 1;
         Ok(ReachSummary {
             markings: count.markings,
             iterations: count.iterations,
@@ -501,10 +604,73 @@ impl ReachEngine {
     /// The symbolic run as a [`ReachSummary`].
     fn symbolic_summary(&mut self, stg: &Stg) -> Result<ReachSummary, StgError> {
         let result = self.symbolic_set(stg)?;
+        self.stats.symbolic_answers += 1;
         Ok(ReachSummary {
             markings: result.markings,
             iterations: result.iterations,
             bdd_nodes: result.bdd_nodes,
+        })
+    }
+
+    /// Checks `stg`'s complete state coding: reachable markings, CSC
+    /// conflicts, deadlock freedom and strong connectivity, answered
+    /// through the configured backend:
+    ///
+    /// * [`ReachBackend::Explicit`] builds the [`StateGraph`] and reads
+    ///   the facts off it; a blown soft state budget degrades to the
+    ///   symbolic detector ([`Degradation::ExplicitToSymbolic`]) when
+    ///   the net has at most 64 signals.
+    /// * [`ReachBackend::Symbolic`] runs
+    ///   [`ReachEngine::csc_conflicts_symbolic`].
+    /// * [`ReachBackend::Auto`] builds the graph under the
+    ///   [`AUTO_EXPLICIT_STATES`] cap and routes a net past it to
+    ///   [`ReachEngine::csc_conflicts_symbolic`] without a degradation.
+    ///
+    /// The four facts are the same on every route.
+    ///
+    /// # Errors
+    ///
+    /// [`crate::reach::explore_with`]'s errors on the explicit route,
+    /// [`ReachEngine::csc_conflicts_symbolic`]'s on the symbolic one.
+    pub fn csc_check(&mut self, stg: &Stg) -> Result<CscCheck, StgError> {
+        let explicit = match self.backend {
+            ReachBackend::Symbolic => return self.symbolic_check(stg),
+            ReachBackend::Explicit => match explore_with(stg, &self.options) {
+                Err(error @ StgError::StateBudgetExceeded { .. }) => {
+                    if stg.signal_count() > 64 {
+                        return Err(error);
+                    }
+                    self.stats
+                        .degradations
+                        .push(Degradation::ExplicitToSymbolic);
+                    return self.symbolic_check(stg);
+                }
+                other => other,
+            },
+            ReachBackend::Auto => match explore_with(stg, &self.auto_options()) {
+                Err(StgError::StateBudgetExceeded { .. }) => return self.symbolic_check(stg),
+                other => other,
+            },
+        };
+        let sg = explicit?;
+        self.stats.explicit_answers += 1;
+        Ok(CscCheck {
+            markings: sg.state_count() as u64,
+            conflicts: sg.csc_conflicts().len() as u64,
+            deadlock_free: sg.deadlock_states().is_empty(),
+            strongly_connected: sg.is_strongly_connected(),
+        })
+    }
+
+    /// [`ReachEngine::csc_conflicts_symbolic`] as a [`CscCheck`].
+    fn symbolic_check(&mut self, stg: &Stg) -> Result<CscCheck, StgError> {
+        let analysis = self.csc_conflicts_symbolic(stg)?;
+        self.stats.symbolic_answers += 1;
+        Ok(CscCheck {
+            markings: analysis.markings,
+            conflicts: analysis.conflicts,
+            deadlock_free: analysis.deadlock_free,
+            strongly_connected: analysis.strongly_connected,
         })
     }
 
@@ -913,6 +1079,47 @@ mod tests {
             engine.options_mut().budget = Budget::default();
             assert_eq!(engine.summary(&stg).expect("recovers").markings, 18);
         }
+    }
+
+    #[test]
+    fn auto_answers_small_nets_explicitly_and_routes_big_ones_without_degrading() {
+        let stg = models::fifo_stg(); // 18 markings
+        let mut auto = ReachEngine::new(ReachBackend::Auto);
+        let summary = auto.summary(&stg).expect("explicit route");
+        assert_eq!((summary.markings, summary.bdd_nodes), (18, 0));
+        let check = auto.csc_check(&stg).expect("explicit route");
+        assert_eq!(
+            check,
+            ReachEngine::symbolic().csc_check(&stg).expect("symbolic")
+        );
+        assert_eq!(auto.stats().explicit_answers, 2);
+        assert!(auto.manager().is_none(), "no BDD manager was needed");
+
+        // A soft budget below the net's size routes to the symbolic
+        // chain: same answer, no degradation.
+        auto.options_mut().budget = Budget::default().with_max_states(4);
+        let routed = auto.summary(&stg).expect("symbolic route");
+        assert_eq!(routed.markings, 18);
+        assert!(routed.bdd_nodes > 2, "served by the symbolic backend");
+        assert_eq!(auto.csc_check(&stg).expect("symbolic route"), check);
+        assert_eq!(auto.stats().symbolic_answers, 2);
+        assert!(
+            auto.stats().degradations.is_empty(),
+            "a route, not a fallback"
+        );
+    }
+
+    #[test]
+    fn explicit_csc_check_degrades_to_symbolic_on_a_blown_state_budget() {
+        let stg = models::fifo_stg();
+        let clean = ReachEngine::explicit().csc_check(&stg).expect("explicit");
+        let mut engine = ReachEngine::explicit().with_budget(Budget::default().with_max_states(4));
+        assert_eq!(engine.csc_check(&stg).expect("degraded check"), clean);
+        assert_eq!(
+            engine.stats().degradations,
+            vec![Degradation::ExplicitToSymbolic]
+        );
+        assert_eq!(engine.stats().symbolic_answers, 1);
     }
 
     #[test]

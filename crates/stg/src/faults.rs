@@ -57,6 +57,9 @@
 //!   front-end: a `true` answer makes the daemon drop the TCP
 //!   connection server-side after admitting the request but before
 //!   replying (the client-vanishes-mid-request scenario).
+//! * [`daemon_spawn_fail`] — per *accepted connection* in the
+//!   `rt-daemon` accept loop: a `true` answer makes the handler-thread
+//!   spawn fail (the thread-exhaustion scenario).
 
 #[cfg(feature = "fault-injection")]
 pub use enabled::{arm, suite, Armed, SuiteGuard};
@@ -121,6 +124,13 @@ pub enum Fault {
     ServiceDropConnAt {
         /// 0-based daemon-wide wire-request index the drop fires on.
         request: usize,
+    },
+    /// Spawning the handler thread for accepted connection `connection`
+    /// fails, as if the OS were out of threads. The daemon must drop
+    /// that connection and keep accepting.
+    DaemonSpawnFailAt {
+        /// 0-based daemon-wide accepted-connection index.
+        connection: usize,
     },
 }
 
@@ -275,6 +285,14 @@ mod enabled {
         })
         .is_some()
     }
+
+    pub(super) fn daemon_spawn_fail_impl(connection: usize) -> bool {
+        fire(|f| match f {
+            Fault::DaemonSpawnFailAt { connection: c } if c == connection => Some(()),
+            _ => None,
+        })
+        .is_some()
+    }
 }
 
 /// Injected fault for an explicit BFS round, if armed. Always `None`
@@ -365,6 +383,22 @@ pub fn service_drop_conn(request: usize) -> bool {
     #[cfg(not(feature = "fault-injection"))]
     {
         let _ = request;
+        false
+    }
+}
+
+/// Whether spawning the daemon's handler thread for accepted connection
+/// `connection` should fail. Always `false` without the
+/// `fault-injection` feature.
+#[cfg_attr(not(feature = "fault-injection"), inline(always))]
+pub fn daemon_spawn_fail(connection: usize) -> bool {
+    #[cfg(feature = "fault-injection")]
+    {
+        enabled::daemon_spawn_fail_impl(connection)
+    }
+    #[cfg(not(feature = "fault-injection"))]
+    {
+        let _ = connection;
         false
     }
 }

@@ -81,7 +81,7 @@ pub mod stg;
 pub mod symbolic;
 
 pub use budget::{Budget, CancelToken};
-pub use engine::{Degradation, ReachBackend, ReachEngine, ReachSummary};
+pub use engine::{CscCheck, Degradation, ReachBackend, ReachEngine, ReachSummary};
 pub use error::StgError;
 pub use marking::{MarkingArena, MarkingId, MarkingLayout, PackedMarking};
 pub use petri::{Marking, PetriNet, PlaceId, TransitionId};

@@ -8,15 +8,20 @@
 //! answer bit-for-bit. That is the whole robustness contract: injected
 //! budget exhaustion, cancellation and worker panics must neither hang,
 //! abort, nor leave any state behind.
+//!
+//! Every test also holds [`rt_stg::faults::suite`] for its whole run:
+//! the fresh references some tests compute *before* arming poll the
+//! same hooks, and must not consume a sibling test's armed shots.
 
 #![cfg(feature = "fault-injection")]
 
-use rt_stg::engine::ReachEngine;
-use rt_stg::faults::{arm, Fault};
+use rt_stg::engine::{Degradation, ReachBackend, ReachEngine};
+use rt_stg::faults::{arm, suite, Fault};
 use rt_stg::{explore, models, StgError};
 
 #[test]
 fn injected_worker_panic_is_isolated_at_any_round_and_thread_count() {
+    let _suite = suite();
     let stg = models::fifo_stg();
     let reference = explore(&stg).expect("fresh explore");
     for threads in [2usize, 4, 8] {
@@ -43,6 +48,7 @@ fn injected_worker_panic_is_isolated_at_any_round_and_thread_count() {
 
 #[test]
 fn injected_cancellation_stops_explicit_walks_within_one_round() {
+    let _suite = suite();
     let stg = models::fifo_stg();
     let reference = explore(&stg).expect("fresh explore");
     for threads in [1usize, 2, 8] {
@@ -63,6 +69,7 @@ fn injected_cancellation_stops_explicit_walks_within_one_round() {
 
 #[test]
 fn injected_state_exhaustion_stops_explicit_walks_within_one_round() {
+    let _suite = suite();
     let stg = models::fifo_stg();
     let reference = explore(&stg).expect("fresh explore");
     for threads in [1usize, 4] {
@@ -80,7 +87,45 @@ fn injected_state_exhaustion_stops_explicit_walks_within_one_round() {
 }
 
 #[test]
+fn injected_state_exhaustion_routes_auto_symbolically_but_degrades_explicit() {
+    let _suite = suite();
+    let stg = models::fifo_stg();
+    for backend in [ReachBackend::Auto, ReachBackend::Explicit] {
+        // Two shots: one blows the summary's explicit walk, one the
+        // csc_check's. Auto treats that as a route, not a degradation;
+        // Explicit records the fallback it always has.
+        let _guard = arm(Fault::ExhaustStatesAt { round: 1 }, 2);
+        let mut engine = ReachEngine::new(backend);
+        let summary = engine.summary(&stg);
+        let check = engine.csc_check(&stg);
+        // Shots spent: fresh references, still under the guard.
+        assert_eq!(
+            summary,
+            ReachEngine::symbolic().summary(&stg),
+            "{backend:?}"
+        );
+        assert_eq!(
+            check,
+            ReachEngine::explicit().csc_check(&stg),
+            "{backend:?}"
+        );
+        let stats = engine.stats();
+        assert_eq!(
+            (stats.explicit_answers, stats.symbolic_answers),
+            (0, 2),
+            "{backend:?}"
+        );
+        let expected = match backend {
+            ReachBackend::Explicit => vec![Degradation::ExplicitToSymbolic; 2],
+            _ => Vec::new(),
+        };
+        assert_eq!(stats.degradations, expected, "{backend:?}");
+    }
+}
+
+#[test]
 fn injected_symbolic_faults_stop_the_fixpoint_and_spare_the_manager() {
+    let _suite = suite();
     let stg = models::fifo_stg();
     let mut fresh = ReachEngine::symbolic();
     let reference = fresh.symbolic_set(&stg).expect("fresh symbolic set");

@@ -38,7 +38,8 @@
 //!   the explicit-enumeration wall on huge nets.
 //!
 //! [`CscOptions::symbolic_threshold`] arbitrates: on a
-//! [`ReachBackend::Symbolic`] engine, nets with at least that many
+//! [`rt_stg::ReachBackend::Symbolic`] or [`rt_stg::ReachBackend::Auto`]
+//! engine, nets with at least that many
 //! places rank candidates symbolically; smaller nets keep the explicit
 //! detector (whose per-candidate graphs are microseconds at that size
 //! and whose literal-count costs are the historical tie-breakers). The
@@ -55,7 +56,7 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use rt_boolean::{minimize, Cover, Cube};
-use rt_stg::engine::{ReachBackend, ReachEngine};
+use rt_stg::engine::ReachEngine;
 use rt_stg::par::{effective_threads, parallel_argmin};
 use rt_stg::petri::PlaceId;
 use rt_stg::reach::count_markings_with;
@@ -112,8 +113,8 @@ pub struct CscOptions {
     /// `(cost, index)` reduction of [`rt_stg::par::parallel_argmin`]
     /// guarantees the winner is identical at every width.
     pub threads: usize,
-    /// Place count at or above which a [`ReachBackend::Symbolic`]
-    /// engine ranks candidates with the symbolic conflict detector
+    /// Place count at or above which a [`rt_stg::ReachBackend::Symbolic`]
+    /// or [`rt_stg::ReachBackend::Auto`] engine ranks candidates with the symbolic conflict detector
     /// instead of building explicit state graphs (see the module
     /// docs). Irrelevant on explicit-backend engines.
     pub symbolic_threshold: usize,
@@ -155,7 +156,8 @@ pub fn resolve_csc_with(stg: &Stg, options: &CscOptions) -> Result<CscResolution
 /// across *multiple* resolutions when the caller keeps the engine
 /// alive. The accepted result is backend-independent: the candidate
 /// ranking uses only the explicitly built state graphs. On
-/// [`rt_stg::ReachBackend::Symbolic`] the final resolution is audited
+/// [`rt_stg::ReachBackend::Symbolic`] (and [`rt_stg::ReachBackend::Auto`],
+/// which resolves exactly like it) the final resolution is audited
 /// against the symbolic marking count.
 ///
 /// # Errors
@@ -167,7 +169,7 @@ pub fn resolve_csc_engine(
     options: &CscOptions,
     engine: &mut ReachEngine,
 ) -> Result<CscResolution, SynthError> {
-    if engine.backend() == ReachBackend::Symbolic
+    if crate::regions::symbolic_engine(engine)
         && stg.net().place_count() >= options.symbolic_threshold
     {
         return resolve_csc_symbolic(stg, options, engine);
@@ -360,7 +362,7 @@ fn audit_resolution(
         .as_ref()
         .expect("the explicit path always carries its graph");
     crate::regions::audit_against_symbolic(engine, &resolution.stg, sg)?;
-    if engine.backend() == ReachBackend::Symbolic {
+    if crate::regions::symbolic_engine(engine) {
         let analysis = engine.csc_conflicts_symbolic(&resolution.stg)?;
         let explicit = sg.csc_conflicts().len() as u64;
         if analysis.conflicts != explicit {

@@ -153,8 +153,8 @@ pub fn excitation_cover(sg: &StateGraph, event: SignalEvent) -> Cover {
 /// STG-level entry point: explores `stg` through `engine` and derives
 /// the set/reset functions from the resulting graph. The reachable-set
 /// query behind the global unreachable-code don't-cares thereby runs on
-/// whichever backend the engine is configured with, and on
-/// [`ReachBackend::Symbolic`] the graph is audited against the
+/// whichever backend the engine is configured with, and on a symbolic
+/// or Auto engine the graph is audited against the
 /// persistent manager's marking count before any cover is derived.
 ///
 /// # Errors
@@ -195,10 +195,23 @@ fn audited_graph(engine: &mut ReachEngine, stg: &Stg) -> Result<StateGraph, Synt
     Ok(sg)
 }
 
+/// Whether `engine` takes the symbolic synthesis paths (the symbolic
+/// audits, and the symbolic candidate loop past
+/// [`crate::csc::CscOptions::symbolic_threshold`]).
+/// [`ReachBackend::Auto`] counts as symbolic: its routing only picks
+/// who answers set-level queries, so resolutions and audits are the
+/// same as on [`ReachBackend::Symbolic`].
+pub(crate) fn symbolic_engine(engine: &ReachEngine) -> bool {
+    matches!(
+        engine.backend(),
+        ReachBackend::Symbolic | ReachBackend::Auto
+    )
+}
+
 /// The one symbolic-audit implementation shared by every engine-level
-/// synthesis entry point (here and in [`crate::csc`]): on
-/// [`ReachBackend::Symbolic`], `stg`'s symbolic marking count must
-/// match the explicitly built graph's state count.
+/// synthesis entry point (here and in [`crate::csc`]): on a
+/// [`symbolic_engine`], `stg`'s symbolic marking count must match the
+/// explicitly built graph's state count.
 ///
 /// # Errors
 ///
@@ -209,10 +222,10 @@ pub(crate) fn audit_against_symbolic(
     stg: &Stg,
     sg: &StateGraph,
 ) -> Result<(), SynthError> {
-    if engine.backend() != ReachBackend::Symbolic {
+    if !symbolic_engine(engine) {
         return Ok(());
     }
-    let summary = engine.summary(stg)?;
+    let summary = engine.summary_on(ReachBackend::Symbolic, stg)?;
     let explicit = sg.state_count() as u64;
     if summary.markings != explicit {
         return Err(SynthError::BackendMismatch {
