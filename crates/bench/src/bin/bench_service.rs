@@ -184,8 +184,9 @@ fn main() {
     let requests = stats.completed;
     let total_s = (cold_elapsed + warm_elapsed).as_secs_f64();
     let requests_per_s = requests as f64 / total_s;
+    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     println!(
-        "service: {requests} requests in {:.1} ms ({requests_per_s:.0} req/s; cold {:.1} ms, warm {:.1} ms)",
+        "service: {requests} requests in {:.1} ms ({requests_per_s:.0} req/s; cold {:.1} ms, warm {:.1} ms; {cpus} cpus)",
         total_s * 1e3,
         cold_elapsed.as_secs_f64() * 1e3,
         warm_elapsed.as_secs_f64() * 1e3
@@ -210,7 +211,7 @@ fn main() {
         "\"requests\": {requests}, \"requests_per_s\": {requests_per_s:.0}, \
          \"cache_hit_rate\": {:.3}, \"shed\": {}, \"retries\": {}, \
          \"quarantines\": {}, \"worker_panics\": {}, \"degraded\": {}, \"errors\": {}, \
-         \"explicit_answers\": {}, \"symbolic_answers\": {}}}",
+         \"explicit_answers\": {}, \"symbolic_answers\": {}, \"cpus\": {cpus}}}",
         stats.cache_hit_rate(),
         stats.shed,
         stats.retries,
@@ -321,6 +322,7 @@ fn main() {
         "\"daemon\":",
         "\"batch_dedup_hits\"",
         "\"protocol_errors\"",
+        "\"cpus\"",
     ] {
         assert!(patched.contains(key), "patched snapshot lost {key}");
     }

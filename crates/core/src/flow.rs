@@ -13,7 +13,7 @@
 //!               RT circuit  +  required RT constraints (back-annotated)
 //! ```
 
-use rt_stg::engine::{ReachBackend, ReachEngine};
+use rt_stg::engine::ReachEngine;
 use rt_stg::par::parallel_argmin;
 use rt_stg::{SignalKind, StateGraph, Stg};
 use rt_synth::csc::{
@@ -43,9 +43,10 @@ pub struct RtSynthesisFlow {
     /// `(cost, index)` reduction, so the chosen insertion — and hence
     /// the whole flow report — is identical at every width.
     pub threads: usize,
-    /// Place count at or above which a flow running on a
-    /// [`ReachBackend::Symbolic`] engine **with no active relative-
-    /// timing assumptions** delegates its state-encoding stage to
+    /// Place count at or above which a flow **with no active relative-
+    /// timing assumptions**, running on an engine whose backend
+    /// [`rt_stg::ReachBackend::takes_symbolic_paths`] (Symbolic or
+    /// Auto), delegates its state-encoding stage to
     /// [`rt_synth::csc::resolve_csc_engine`]'s symbolic candidate
     /// search — no per-candidate explicit state graphs (the lazy
     /// reduction is the identity without assumptions, so the two
@@ -203,7 +204,7 @@ impl RtSynthesisFlow {
         // then built for the synthesis stages downstream.
         if !reduced.csc_conflicts().is_empty()
             && all_assumptions.is_empty()
-            && engine.backend() == ReachBackend::Symbolic
+            && engine.backend().takes_symbolic_paths()
             && stg.net().place_count() >= self.csc_symbolic_threshold
         {
             let csc_options = CscOptions {
@@ -398,11 +399,7 @@ fn best_insertion_on_reduced(
             }
         }
     }
-    let worker_options = {
-        let mut o = engine.options().clone();
-        o.threads = 1; // candidate-level parallelism; don't nest BFS sharding
-        o
-    };
+    let worker_options = engine.options().clone();
     let truncated = AtomicBool::new(false);
     let (best, workers) = parallel_argmin(
         pairs.len(),
@@ -523,7 +520,7 @@ fn back_annotate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rt_stg::{models, Edge};
+    use rt_stg::{models, Edge, ReachBackend};
 
     fn ring_assumption(stg: &Stg) -> RtAssumption {
         RtAssumption::user(
@@ -717,34 +714,34 @@ mod tests {
 
     #[test]
     fn symbolic_threshold_delegates_the_encoding_search() {
-        // Threshold 0 + symbolic engine + no assumptions: the encoding
-        // stage must run on the symbolic detector (no per-candidate
-        // explicit graphs — only the initial exploration and the one
-        // post-encoding graph synthesis needs), and the flow must still
-        // produce a valid CSC-free implementation.
+        // Threshold 0 + a symbolic-path engine (Symbolic or Auto) + no
+        // assumptions: the encoding stage must run on the symbolic
+        // detector (no per-candidate explicit graphs — only the initial
+        // exploration and the one post-encoding graph synthesis needs),
+        // and the flow must still produce a valid CSC-free
+        // implementation.
         let stg = models::fifo_stg();
         let flow = RtSynthesisFlow {
             csc_symbolic_threshold: 0,
             ..RtSynthesisFlow::speed_independent()
         };
-        let mut engine = ReachEngine::symbolic();
-        let report = flow.run_with_engine(&stg, &[], &mut engine).unwrap();
-        assert!(!report.inserted_signals.is_empty(), "{}", report.log_text());
-        assert!(
-            report.log_text().contains("symbolic detector"),
-            "{}",
-            report.log_text()
-        );
-        assert!(
-            engine.stats().symbolic_csc > 0,
-            "candidates were ranked symbolically"
-        );
-        assert_eq!(
-            engine.stats().graph_builds,
-            2,
-            "initial exploration + one post-encoding graph, none per candidate"
-        );
-        assert!(report.lazy_sg.csc_conflicts().is_empty());
-        report.synthesis.netlist.validate().unwrap();
+        for backend in [ReachBackend::Symbolic, ReachBackend::Auto] {
+            let mut engine = ReachEngine::new(backend);
+            let report = flow.run_with_engine(&stg, &[], &mut engine).unwrap();
+            let log = report.log_text();
+            assert!(!report.inserted_signals.is_empty(), "{backend:?}: {log}");
+            assert!(log.contains("symbolic detector"), "{backend:?}: {log}");
+            assert!(
+                engine.stats().symbolic_csc > 0,
+                "{backend:?}: candidates were ranked symbolically"
+            );
+            assert_eq!(
+                engine.stats().graph_builds,
+                2,
+                "{backend:?}: initial exploration + one post-encoding graph, none per candidate"
+            );
+            assert!(report.lazy_sg.csc_conflicts().is_empty(), "{backend:?}");
+            report.synthesis.netlist.validate().unwrap();
+        }
     }
 }

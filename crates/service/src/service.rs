@@ -701,41 +701,6 @@ impl SynthService {
         }
     }
 
-    /// [`submit`](SynthService::submit) under its pre-daemon name.
-    #[deprecated(note = "use `submit` — it now blocks and returns the reply directly")]
-    pub fn call(&self, request: Request) -> Reply {
-        self.submit(request)
-    }
-
-    /// Per-kind wrapper over [`submit`](SynthService::submit).
-    #[deprecated(note = "use `submit(Request::summary(stg))`")]
-    pub fn summary(&self, stg: rt_stg::Stg) -> Reply {
-        self.submit(Request::summary(stg))
-    }
-
-    /// Per-kind wrapper over [`submit`](SynthService::submit).
-    #[deprecated(note = "use `submit(Request::csc_check(stg))`")]
-    pub fn csc_check(&self, stg: rt_stg::Stg) -> Reply {
-        self.submit(Request::csc_check(stg))
-    }
-
-    /// Per-kind wrapper over [`submit`](SynthService::submit).
-    #[deprecated(note = "use `submit(Request::resolve_csc(stg, options))`")]
-    pub fn resolve_csc(&self, stg: rt_stg::Stg, options: rt_synth::csc::CscOptions) -> Reply {
-        self.submit(Request::resolve_csc(stg, options))
-    }
-
-    /// Per-kind wrapper over [`submit`](SynthService::submit).
-    #[deprecated(note = "use `submit(Request::verify(netlist, spec, orderings))`")]
-    pub fn verify(
-        &self,
-        netlist: rt_netlist::Netlist,
-        spec: rt_stg::Stg,
-        orderings: Vec<rt_verify::NetOrdering>,
-    ) -> Reply {
-        self.submit(Request::verify(netlist, spec, orderings))
-    }
-
     /// Snapshot of the service counters.
     pub fn stats(&self) -> ServiceStats {
         let c = &self.shared.counters;

@@ -57,7 +57,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use rt_boolean::{minimize, Cover, Cube};
 use rt_stg::engine::ReachEngine;
-use rt_stg::par::{effective_threads, parallel_argmin};
+use rt_stg::par::parallel_argmin;
 use rt_stg::petri::PlaceId;
 use rt_stg::reach::count_markings_with;
 use rt_stg::stg::TransitionLabel;
@@ -169,7 +169,7 @@ pub fn resolve_csc_engine(
     options: &CscOptions,
     engine: &mut ReachEngine,
 ) -> Result<CscResolution, SynthError> {
-    if crate::regions::symbolic_engine(engine)
+    if engine.backend().takes_symbolic_paths()
         && stg.net().place_count() >= options.symbolic_threshold
     {
         return resolve_csc_symbolic(stg, options, engine);
@@ -362,7 +362,7 @@ fn audit_resolution(
         .as_ref()
         .expect("the explicit path always carries its graph");
     crate::regions::audit_against_symbolic(engine, &resolution.stg, sg)?;
-    if crate::regions::symbolic_engine(engine) {
+    if engine.backend().takes_symbolic_paths() {
         let analysis = engine.csc_conflicts_symbolic(&resolution.stg)?;
         let explicit = sg.csc_conflicts().len() as u64;
         if analysis.conflicts != explicit {
@@ -465,14 +465,7 @@ fn best_insertion(
 ) -> Result<SearchOutcome<(Stg, StateGraph, usize)>, SynthError> {
     let specs = insertion_specs(stg);
     *attempts += specs.len();
-    let pool = effective_threads(options.threads);
-    let mut worker_options = engine.options().clone();
-    if pool > 1 {
-        // Candidate-level parallelism replaces BFS-level sharding for
-        // the search: candidate nets are small, and nesting the two
-        // would oversubscribe the machine.
-        worker_options.threads = 1;
-    }
+    let worker_options = engine.options().clone();
 
     let truncated = AtomicBool::new(false);
     let evaluate = |worker: &mut ReachEngine, index: usize| {
@@ -549,11 +542,7 @@ fn best_insertion_symbolic(
 ) -> Result<SearchOutcome<(Stg, u64, u64, usize)>, SynthError> {
     let specs = insertion_specs(stg);
     *attempts += specs.len();
-    let pool = effective_threads(options.threads);
-    let mut worker_options = engine.options().clone();
-    if pool > 1 {
-        worker_options.threads = 1;
-    }
+    let worker_options = engine.options().clone();
 
     let truncated = AtomicBool::new(false);
     let evaluate = |worker: &mut ReachEngine, index: usize| {

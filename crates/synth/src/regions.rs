@@ -195,22 +195,10 @@ fn audited_graph(engine: &mut ReachEngine, stg: &Stg) -> Result<StateGraph, Synt
     Ok(sg)
 }
 
-/// Whether `engine` takes the symbolic synthesis paths (the symbolic
-/// audits, and the symbolic candidate loop past
-/// [`crate::csc::CscOptions::symbolic_threshold`]).
-/// [`ReachBackend::Auto`] counts as symbolic: its routing only picks
-/// who answers set-level queries, so resolutions and audits are the
-/// same as on [`ReachBackend::Symbolic`].
-pub(crate) fn symbolic_engine(engine: &ReachEngine) -> bool {
-    matches!(
-        engine.backend(),
-        ReachBackend::Symbolic | ReachBackend::Auto
-    )
-}
-
 /// The one symbolic-audit implementation shared by every engine-level
-/// synthesis entry point (here and in [`crate::csc`]): on a
-/// [`symbolic_engine`], `stg`'s symbolic marking count must match the
+/// synthesis entry point (here and in [`crate::csc`]): on an engine
+/// whose backend [`ReachBackend::takes_symbolic_paths`], `stg`'s
+/// symbolic marking count must match the
 /// explicitly built graph's state count.
 ///
 /// # Errors
@@ -222,7 +210,7 @@ pub(crate) fn audit_against_symbolic(
     stg: &Stg,
     sg: &StateGraph,
 ) -> Result<(), SynthError> {
-    if !symbolic_engine(engine) {
+    if !engine.backend().takes_symbolic_paths() {
         return Ok(());
     }
     let summary = engine.summary_on(ReachBackend::Symbolic, stg)?;
