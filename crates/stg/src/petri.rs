@@ -4,6 +4,24 @@
 //! The net structure is deliberately minimal and index-based; an
 //! [`crate::Stg`] wraps a [`PetriNet`] with signal labels. Analysis code
 //! (reachability, lazy state graphs) works on these indices.
+//!
+//! # Storage layout
+//!
+//! A net is stored flat, so cloning, caching or decoding one costs a
+//! dozen allocations whatever its size:
+//!
+//! * the place names and the transition names each live in one `String`
+//!   arena with a `Vec<u32>` of end offsets;
+//! * presets and postsets are compressed sparse rows (CSR) over
+//!   transitions: one `Vec<Arc>` of every row back to back plus a
+//!   `Vec<u32>` of row end offsets;
+//! * consumers and producers are CSR rows over places in the same way.
+//!
+//! Every row keeps its arcs in insertion order. An arc added to a row
+//! that is not the last one is inserted at the end of that row's range
+//! (an append whenever rows are built in order). Per-place order matters:
+//! it is the order of [`PetriNet::conflict_groups`], which breaks ties
+//! among CSC candidates, and the order the wire codec transmits.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -150,11 +168,193 @@ pub struct Arc {
     pub weight: u16,
 }
 
+/// Converts a storage length to a `u32` offset.
+///
+/// # Panics
+///
+/// Panics past `u32::MAX`, far beyond any net a frame or a generator can
+/// describe.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("net storage exceeds u32 offsets")
+}
+
+/// Variable-length rows stored back to back: row `r` is
+/// `items[start(r)..ends[r]]`, where row 0 starts at 0 and every other
+/// row starts where the previous one ends.
+#[derive(Debug, Clone)]
+struct Rows<T> {
+    items: Vec<T>,
+    ends: Vec<u32>,
+}
+
+// Derived `Default` would demand `T: Default`; empty rows need nothing.
+impl<T> Default for Rows<T> {
+    fn default() -> Self {
+        Rows {
+            items: Vec::new(),
+            ends: Vec::new(),
+        }
+    }
+}
+
+impl<T: Copy> Rows<T> {
+    /// Concatenates `rows`, keeping each row's order.
+    fn from_rows(rows: Vec<Vec<T>>) -> Self {
+        let mut items = Vec::with_capacity(rows.iter().map(Vec::len).sum());
+        let mut ends = Vec::with_capacity(rows.len());
+        for row in rows {
+            items.extend(row);
+            ends.push(offset(items.len()));
+        }
+        Rows { items, ends }
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn start(&self, row: usize) -> usize {
+        match row {
+            0 => 0,
+            _ => self.ends[row - 1] as usize,
+        }
+    }
+
+    fn row(&self, row: usize) -> &[T] {
+        &self.items[self.start(row)..self.ends[row] as usize]
+    }
+
+    /// Adds an empty last row.
+    fn push_row(&mut self) {
+        self.ends.push(offset(self.items.len()));
+    }
+
+    /// Appends `item` to `row`, moving the later rows up by one slot (a
+    /// plain push when `row` is the last row).
+    fn push_into(&mut self, row: usize, item: T) {
+        let end = self.ends[row] as usize;
+        self.items.insert(end, item);
+        for end in &mut self.ends[row..] {
+            *end += 1;
+        }
+    }
+
+    fn longest_row(&self) -> usize {
+        (0..self.len())
+            .map(|r| self.row(r).len())
+            .max()
+            .unwrap_or(0)
+    }
+}
+
+/// Names stored back to back in one `String`: name `i` ends at
+/// `ends[i]` and starts where name `i - 1` ends.
+#[derive(Debug, Clone, Default)]
+struct Names {
+    text: String,
+    ends: Vec<u32>,
+}
+
+impl Names {
+    fn from_names(names: Vec<String>) -> Self {
+        let mut arena = Names {
+            text: String::with_capacity(names.iter().map(String::len).sum()),
+            ends: Vec::with_capacity(names.len()),
+        };
+        for name in &names {
+            arena.push(name);
+        }
+        arena
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn push(&mut self, name: &str) {
+        self.text.push_str(name);
+        self.ends.push(offset(self.text.len()));
+    }
+
+    fn get(&self, index: usize) -> &str {
+        let start = match index {
+            0 => 0,
+            _ => self.ends[index - 1] as usize,
+        };
+        &self.text[start..self.ends[index] as usize]
+    }
+
+    fn position(&self, name: &str) -> Option<u32> {
+        (0..self.len())
+            .position(|i| self.get(i) == name)
+            .map(offset)
+    }
+}
+
+/// Checks that the per-place `lists` hold exactly the transitions of
+/// the per-transition `arcs`, seen from the places' side: the same
+/// `(place, transition)` pairs with the same multiplicity, in any order
+/// within a place.
+///
+/// One flat pass transposes `arcs` into place-major order inside the
+/// row bounds of `lists` (walking transitions in order, so each
+/// transposed row comes out sorted); each list row, sorted, must then
+/// match its transposed row.
+fn check_mirror(arcs: &Rows<Arc>, lists: &Rows<TransitionId>, role: &str) -> Result<(), String> {
+    let (places, transitions) = (lists.len(), arcs.len());
+    for t in 0..transitions {
+        for arc in arcs.row(t) {
+            if arc.place.index() >= places {
+                return Err(format!(
+                    "{role} arc of transition {t} names place {} of {places}",
+                    arc.place
+                ));
+            }
+            if arc.weight == 0 {
+                return Err(format!("{role} arc of transition {t} has zero weight"));
+            }
+        }
+    }
+    for p in 0..places {
+        if let Some(t) = lists.row(p).iter().find(|t| t.index() >= transitions) {
+            return Err(format!(
+                "place {p} {role} list names transition {t} of {transitions}"
+            ));
+        }
+    }
+    let disagrees = |p: usize| format!("place {p} {role} list disagrees with the transition arcs");
+    let mut fill: Vec<usize> = (0..places).map(|p| lists.start(p)).collect();
+    let mut transposed = vec![TransitionId(0); lists.items.len()];
+    for t in 0..transitions {
+        for arc in arcs.row(t) {
+            let p = arc.place.index();
+            if fill[p] == lists.ends[p] as usize {
+                return Err(disagrees(p));
+            }
+            transposed[fill[p]] = TransitionId(offset(t));
+            fill[p] += 1;
+        }
+    }
+    let mut sorted = lists.items.clone();
+    for (p, &filled) in fill.iter().enumerate() {
+        let range = lists.start(p)..lists.ends[p] as usize;
+        if filled != range.end {
+            return Err(disagrees(p));
+        }
+        sorted[range.clone()].sort_unstable();
+        if sorted[range.clone()] != transposed[range] {
+            return Err(disagrees(p));
+        }
+    }
+    Ok(())
+}
+
 /// A Petri net: places, transitions and weighted pre/post arcs.
 ///
 /// The net stores, per transition, its preset (consumed places) and postset
 /// (produced places); per place, the transitions it feeds and is fed by.
 /// Names are optional and used by the `.g` parser/writer and diagnostics.
+/// See the [module docs](self) for the flat storage layout.
 ///
 /// # Examples
 ///
@@ -182,16 +382,16 @@ pub struct Arc {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PetriNet {
-    place_names: Vec<String>,
-    transition_names: Vec<String>,
+    place_names: Names,
+    transition_names: Names,
     /// Per-transition preset arcs.
-    presets: Vec<Vec<Arc>>,
+    presets: Rows<Arc>,
     /// Per-transition postset arcs.
-    postsets: Vec<Vec<Arc>>,
+    postsets: Rows<Arc>,
     /// Per-place consumers (transitions with the place in their preset).
-    consumers: Vec<Vec<TransitionId>>,
+    consumers: Rows<TransitionId>,
     /// Per-place producers (transitions with the place in their postset).
-    producers: Vec<Vec<TransitionId>>,
+    producers: Rows<TransitionId>,
 }
 
 impl PetriNet {
@@ -212,23 +412,24 @@ impl PetriNet {
 
     /// Adds a place with the given diagnostic name and returns its id.
     pub fn add_place(&mut self, name: impl Into<String>) -> PlaceId {
-        let id = PlaceId(self.place_names.len() as u32);
-        self.place_names.push(name.into());
-        self.consumers.push(Vec::new());
-        self.producers.push(Vec::new());
+        let id = PlaceId(offset(self.place_count()));
+        self.place_names.push(&name.into());
+        self.consumers.push_row();
+        self.producers.push_row();
         id
     }
 
     /// Adds a transition with the given diagnostic name and returns its id.
     pub fn add_transition(&mut self, name: impl Into<String>) -> TransitionId {
-        let id = TransitionId(self.transition_names.len() as u32);
-        self.transition_names.push(name.into());
-        self.presets.push(Vec::new());
-        self.postsets.push(Vec::new());
+        let id = TransitionId(offset(self.transition_count()));
+        self.transition_names.push(&name.into());
+        self.presets.push_row();
+        self.postsets.push_row();
         id
     }
 
-    /// Adds a place→transition (input/consuming) arc.
+    /// Adds a place→transition (input/consuming) arc at the end of the
+    /// transition's preset and of the place's consumers.
     ///
     /// # Panics
     ///
@@ -236,11 +437,13 @@ impl PetriNet {
     pub fn add_arc_pt(&mut self, place: PlaceId, transition: TransitionId, weight: u16) {
         assert!(weight > 0, "arc weight must be positive");
         assert!(place.index() < self.place_count(), "place out of range");
-        self.presets[transition.index()].push(Arc { place, weight });
-        self.consumers[place.index()].push(transition);
+        self.presets
+            .push_into(transition.index(), Arc { place, weight });
+        self.consumers.push_into(place.index(), transition);
     }
 
-    /// Adds a transition→place (output/producing) arc.
+    /// Adds a transition→place (output/producing) arc at the end of the
+    /// transition's postset and of the place's producers.
     ///
     /// # Panics
     ///
@@ -248,11 +451,12 @@ impl PetriNet {
     pub fn add_arc_tp(&mut self, transition: TransitionId, place: PlaceId, weight: u16) {
         assert!(weight > 0, "arc weight must be positive");
         assert!(place.index() < self.place_count(), "place out of range");
-        self.postsets[transition.index()].push(Arc { place, weight });
-        self.producers[place.index()].push(transition);
+        self.postsets
+            .push_into(transition.index(), Arc { place, weight });
+        self.producers.push_into(place.index(), transition);
     }
 
-    /// Reassembles a net from its six stored vectors — the
+    /// Reassembles a net from its six row lists — the
     /// exact-reconstruction constructor the service wire codec uses.
     ///
     /// Replaying arcs per transition through
@@ -262,8 +466,8 @@ impl PetriNet {
     /// order, which interleaves across transitions and feeds
     /// [`conflict_groups`](PetriNet::conflict_groups) — and through it
     /// candidate tie-breaking in CSC resolution. This constructor takes
-    /// all six vectors verbatim and validates that they describe one
-    /// consistent net.
+    /// all six lists verbatim, flattens them into the stored rows, and
+    /// validates that they describe one consistent net.
     ///
     /// # Errors
     ///
@@ -296,85 +500,47 @@ impl PetriNet {
                 producers.len()
             )));
         }
-        // The per-place lists must be exactly the per-transition arcs
-        // seen from the other side (as multisets; their order is the
-        // free part this constructor exists to preserve).
-        for (arcs, lists, role) in [
-            (&presets, &consumers, "preset"),
-            (&postsets, &producers, "postset"),
-        ] {
-            let mut expected: Vec<BTreeMap<u32, usize>> = vec![BTreeMap::new(); places];
-            for (t, arcs) in arcs.iter().enumerate() {
-                for arc in arcs {
-                    if arc.place.index() >= places {
-                        return Err(inconsistent(format!(
-                            "{role} arc of transition {t} names place {} of {places}",
-                            arc.place
-                        )));
-                    }
-                    if arc.weight == 0 {
-                        return Err(inconsistent(format!(
-                            "{role} arc of transition {t} has zero weight"
-                        )));
-                    }
-                    *expected[arc.place.index()].entry(t as u32).or_insert(0) += 1;
-                }
-            }
-            for (p, list) in lists.iter().enumerate() {
-                let mut got: BTreeMap<u32, usize> = BTreeMap::new();
-                for t in list {
-                    if t.index() >= transitions {
-                        return Err(inconsistent(format!(
-                            "place {p} {role} list names transition {t} of {transitions}"
-                        )));
-                    }
-                    *got.entry(t.0).or_insert(0) += 1;
-                }
-                if got != expected[p] {
-                    return Err(inconsistent(format!(
-                        "place {p} {role} list disagrees with the transition arcs"
-                    )));
-                }
-            }
-        }
-        Ok(PetriNet {
-            place_names,
-            transition_names,
-            presets,
-            postsets,
-            consumers,
-            producers,
-        })
+        let net = PetriNet {
+            place_names: Names::from_names(place_names),
+            transition_names: Names::from_names(transition_names),
+            presets: Rows::from_rows(presets),
+            postsets: Rows::from_rows(postsets),
+            consumers: Rows::from_rows(consumers),
+            producers: Rows::from_rows(producers),
+        };
+        check_mirror(&net.presets, &net.consumers, "preset").map_err(inconsistent)?;
+        check_mirror(&net.postsets, &net.producers, "postset").map_err(inconsistent)?;
+        Ok(net)
     }
 
     /// Name of `place`.
     pub fn place_name(&self, place: PlaceId) -> &str {
-        &self.place_names[place.index()]
+        self.place_names.get(place.index())
     }
 
     /// Name of `transition`.
     pub fn transition_name(&self, transition: TransitionId) -> &str {
-        &self.transition_names[transition.index()]
+        self.transition_names.get(transition.index())
     }
 
     /// Preset arcs (consumed places) of `transition`.
     pub fn preset(&self, transition: TransitionId) -> &[Arc] {
-        &self.presets[transition.index()]
+        self.presets.row(transition.index())
     }
 
     /// Postset arcs (produced places) of `transition`.
     pub fn postset(&self, transition: TransitionId) -> &[Arc] {
-        &self.postsets[transition.index()]
+        self.postsets.row(transition.index())
     }
 
     /// Transitions consuming from `place`.
     pub fn consumers(&self, place: PlaceId) -> &[TransitionId] {
-        &self.consumers[place.index()]
+        self.consumers.row(place.index())
     }
 
     /// Transitions producing into `place`.
     pub fn producers(&self, place: PlaceId) -> &[TransitionId] {
-        &self.producers[place.index()]
+        self.producers.row(place.index())
     }
 
     /// Iterates over all place ids.
@@ -523,9 +689,7 @@ impl PetriNet {
 
     /// Degree statistics used in diagnostics: `(max preset, max postset)`.
     pub fn degree_stats(&self) -> (usize, usize) {
-        let max_pre = self.presets.iter().map(Vec::len).max().unwrap_or(0);
-        let max_post = self.postsets.iter().map(Vec::len).max().unwrap_or(0);
-        (max_pre, max_post)
+        (self.presets.longest_row(), self.postsets.longest_row())
     }
 
     /// Renders the net as Graphviz DOT for debugging.
@@ -573,18 +737,12 @@ impl PetriNet {
     /// Looks up a place id by name (linear scan; intended for parsing and
     /// tests, not inner loops).
     pub fn place_by_name(&self, name: &str) -> Option<PlaceId> {
-        self.place_names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| PlaceId(i as u32))
+        self.place_names.position(name).map(PlaceId)
     }
 
     /// Looks up a transition id by name.
     pub fn transition_by_name(&self, name: &str) -> Option<TransitionId> {
-        self.transition_names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| TransitionId(i as u32))
+        self.transition_names.position(name).map(TransitionId)
     }
 
     /// Counts tokens per place name, for human-readable marking dumps.
@@ -721,33 +879,135 @@ mod tests {
         assert_eq!(format!("{rebuilt:?}"), format!("{net:?}"));
     }
 
-    #[test]
-    fn from_parts_rejects_inconsistent_views() {
-        // A preset arc whose place has an empty consumers list.
-        let err = PetriNet::from_parts(
-            vec!["p".into()],
-            vec!["t".into()],
-            vec![vec![Arc {
-                place: PlaceId(0),
+    /// The six `from_parts` lists of `ring2`, for tests to corrupt.
+    type Parts = (
+        Vec<String>,
+        Vec<String>,
+        Vec<Vec<Arc>>,
+        Vec<Vec<Arc>>,
+        Vec<Vec<TransitionId>>,
+        Vec<Vec<TransitionId>>,
+    );
+
+    fn ring2_parts() -> Parts {
+        let arc = |p| {
+            vec![Arc {
+                place: PlaceId(p),
                 weight: 1,
-            }]],
-            vec![vec![]],
-            vec![vec![]],
-            vec![vec![]],
+            }]
+        };
+        (
+            vec!["p0".into(), "p1".into()],
+            vec!["t0".into(), "t1".into()],
+            vec![arc(0), arc(1)],
+            vec![arc(1), arc(0)],
+            vec![vec![TransitionId(0)], vec![TransitionId(1)]],
+            vec![vec![TransitionId(1)], vec![TransitionId(0)]],
         )
-        .unwrap_err();
-        assert!(matches!(err, StgError::Parse { .. }), "got {err:?}");
-        // Out-of-range transition in a producers list.
-        let err = PetriNet::from_parts(
-            vec!["p".into()],
-            vec![],
-            vec![],
-            vec![],
-            vec![vec![]],
-            vec![vec![TransitionId(7)]],
-        )
-        .unwrap_err();
-        assert!(matches!(err, StgError::Parse { .. }), "got {err:?}");
+    }
+
+    /// The message `from_parts` rejects `parts` with.
+    fn rejection(parts: Parts) -> String {
+        let (places, transitions, presets, postsets, consumers, producers) = parts;
+        match PetriNet::from_parts(places, transitions, presets, postsets, consumers, producers) {
+            Err(StgError::Parse { line: 0, message }) => message,
+            other => panic!("expected a line-0 parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn from_parts_accepts_the_uncorrupted_parts() {
+        let (places, transitions, presets, postsets, consumers, producers) = ring2_parts();
+        let net =
+            PetriNet::from_parts(places, transitions, presets, postsets, consumers, producers)
+                .expect("consistent parts");
+        assert_eq!(format!("{net:?}"), format!("{:?}", ring2().0));
+    }
+
+    #[test]
+    fn from_parts_rejects_arc_lists_of_the_wrong_length() {
+        let mut parts = ring2_parts();
+        parts.3.pop();
+        assert!(rejection(parts).contains("arc lists cover 2/1 transitions"));
+    }
+
+    #[test]
+    fn from_parts_rejects_place_lists_of_the_wrong_length() {
+        let mut parts = ring2_parts();
+        parts.4.push(Vec::new());
+        assert!(rejection(parts).contains("place lists cover 3/2 places"));
+    }
+
+    #[test]
+    fn from_parts_rejects_an_out_of_range_place() {
+        let mut parts = ring2_parts();
+        parts.2[1][0].place = PlaceId(9);
+        assert!(rejection(parts).contains("preset arc of transition 1 names place p9 of 2"));
+    }
+
+    #[test]
+    fn from_parts_rejects_an_out_of_range_transition() {
+        let mut parts = ring2_parts();
+        parts.5[0].push(TransitionId(7));
+        assert!(rejection(parts).contains("place 0 postset list names transition t7 of 2"));
+    }
+
+    #[test]
+    fn from_parts_rejects_a_zero_weight() {
+        let mut parts = ring2_parts();
+        parts.3[0][0].weight = 0;
+        assert!(rejection(parts).contains("postset arc of transition 0 has zero weight"));
+    }
+
+    #[test]
+    fn from_parts_rejects_lists_that_disagree_with_the_arcs() {
+        // A missing entry, an extra entry, and a same-length list that
+        // names the wrong transition.
+        let mut missing = ring2_parts();
+        missing.4[1].clear();
+        let mut extra = ring2_parts();
+        extra.4[0].push(TransitionId(0));
+        let mut swapped = ring2_parts();
+        swapped.5.swap(0, 1);
+        for (case, place, role) in [
+            (missing, 1, "preset"),
+            (extra, 0, "preset"),
+            (swapped, 0, "postset"),
+        ] {
+            let message = rejection(case);
+            assert!(
+                message.contains(&format!("place {place} {role} list disagrees")),
+                "{message}"
+            );
+        }
+    }
+
+    #[test]
+    fn arcs_keep_insertion_order_within_each_row() {
+        // Rows filled out of order: each arc lands at the end of its own
+        // row, never at the end of the flat storage.
+        let mut net = PetriNet::new();
+        let p: Vec<_> = (0..3).map(|i| net.add_place(format!("p{i}"))).collect();
+        let t: Vec<_> = (0..3)
+            .map(|i| net.add_transition(format!("t{i}")))
+            .collect();
+        for (place, transition) in [(2, 1), (0, 0), (1, 1), (2, 2), (0, 1), (2, 0)] {
+            net.add_arc_pt(p[place], t[transition], 1);
+            net.add_arc_tp(t[transition], p[place], 2);
+        }
+        let places = |arcs: &[Arc]| arcs.iter().map(|a| a.place.0).collect::<Vec<_>>();
+        assert_eq!(places(net.preset(t[0])), [0, 2]);
+        assert_eq!(places(net.preset(t[1])), [2, 1, 0]);
+        assert_eq!(places(net.postset(t[2])), [2]);
+        assert_eq!(net.consumers(p[2]), [t[1], t[2], t[0]]);
+        assert_eq!(net.producers(p[0]), [t[0], t[1]]);
+        assert_eq!(
+            net.conflict_groups(),
+            vec![vec![t[0], t[1]], vec![t[1], t[2], t[0]]]
+        );
+        assert_eq!(net.degree_stats(), (3, 3));
+        assert_eq!(net.place_name(p[1]), "p1");
+        assert_eq!(net.transition_name(t[2]), "t2");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Proves the packed-marking hot path performs zero per-state heap
-//! allocations for safe nets with ≤ 64 places.
+//! allocations for safe nets with ≤ 64 places, and pins the footprint of
+//! cloning an STG (the flat `PetriNet` layout is a dozen allocations).
 //!
 //! A counting global allocator wraps `System`; the test plays thousands
 //! of transition firings through `is_enabled_packed` /
@@ -14,10 +15,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+static BYTES: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
@@ -27,6 +30,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -38,6 +42,16 @@ fn allocation_count() -> usize {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
+/// Allocations made and bytes requested while running `work`.
+fn measure<T>(work: impl FnOnce() -> T) -> (usize, usize) {
+    let (allocs, bytes) = (allocation_count(), BYTES.load(Ordering::Relaxed));
+    drop(std::hint::black_box(work()));
+    (
+        allocation_count() - allocs,
+        BYTES.load(Ordering::Relaxed) - bytes,
+    )
+}
+
 use rt_stg::marking::{MarkingArena, MarkingLayout, PackedMarking};
 use rt_stg::models;
 
@@ -47,6 +61,7 @@ use rt_stg::models;
 fn main() {
     firing_safe_net_transitions_never_allocates();
     interning_known_markings_never_allocates();
+    cloning_an_stg_is_a_few_flat_allocations();
     println!("alloc: ok (packed hot path performed zero heap allocations)");
 }
 
@@ -131,5 +146,24 @@ fn interning_known_markings_never_allocates() {
         after - before,
         0,
         "re-interning known markings must not allocate"
+    );
+}
+
+fn cloning_an_stg_is_a_few_flat_allocations() {
+    let stg = models::ring_stg(52, 51);
+    let (net_allocs, net_bytes) = measure(|| stg.net().clone());
+    let (stg_allocs, stg_bytes) = measure(|| stg.clone());
+    println!(
+        "alloc: ring_stg(52, 51) net clone {net_allocs} allocations / {net_bytes} B, \
+         stg clone {stg_allocs} allocations / {stg_bytes} B"
+    );
+    // Four name/offset pairs and four arc/offset pairs of CSR rows.
+    assert!(
+        net_allocs <= 12,
+        "cloning the net took {net_allocs} allocations; the flat layout needs at most 12"
+    );
+    assert!(
+        stg_bytes <= 14_000,
+        "cloning the STG requested {stg_bytes} B; the flat layout needs at most 14,000"
     );
 }
