@@ -29,7 +29,9 @@ use crate::request::{Request, Response};
 /// [`ServiceError::Disconnected`] immediately without touching the
 /// socket. Typed *service* errors carried in a well-formed reply frame
 /// (a shed, a quota refusal, an engine failure) do **not** poison —
-/// the stream stayed in sync and the client remains usable. Recovery
+/// the stream stayed in sync and the client remains usable. The one
+/// exception is [`ServiceError::ConnectionLimit`]: the daemon closes a
+/// refused connection, so that reply poisons too. Recovery
 /// from poisoning means a new connection:
 /// [`ReconnectingClient`](crate::ReconnectingClient) automates exactly
 /// that, including safe resubmission of deadline-free requests under
@@ -73,8 +75,12 @@ impl DaemonClient {
     /// poisons the connection (see the type docs).
     pub fn submit(&mut self, request: &Request) -> Result<Response, ServiceError> {
         let payload = proto::encode_request(request);
-        self.exchange(&payload)
-            .and_then(|reply| proto::decode_reply(&reply).map_err(|err| self.poison(err.into()))?)
+        let reply = self.exchange(&payload)?;
+        match proto::decode_reply(&reply) {
+            Ok(Err(refusal @ ServiceError::ConnectionLimit { .. })) => Err(self.poison(refusal)),
+            Ok(reply) => reply,
+            Err(err) => Err(self.poison(err.into())),
+        }
     }
 
     /// Health check: sends a `Ping` carrying `nonce` and blocks for the

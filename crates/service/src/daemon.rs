@@ -39,6 +39,12 @@
 //! sending anything is closed quietly. Both count in
 //! [`DaemonStats::timeouts`].
 //!
+//! The number of connections served at once is capped by
+//! [`crate::ServiceConfig::max_connections`]. The accept thread answers
+//! a connection past the cap itself, with one
+//! [`ServiceError::ConnectionLimit`] frame, closes it without spawning
+//! a handler, and counts it in [`DaemonStats::refused_connections`].
+//!
 //! [`Daemon::shutdown`] drains gracefully: it stops accepting, severs
 //! idle connections, lets in-flight ones finish their reply for up to
 //! [`crate::ServiceConfig::drain_deadline`], then severs whatever
@@ -66,8 +72,10 @@ use crate::service::{ServiceConfig, ServiceStats, SynthService};
 /// Monotonic counters of one daemon's lifetime, all observed relaxed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DaemonStats {
-    /// Connections accepted.
+    /// Connections accepted and handed to a handler.
     pub connections: u64,
+    /// Connections refused at [`crate::ServiceConfig::max_connections`].
+    pub refused_connections: u64,
     /// Requests successfully decoded and admitted.
     pub requests: u64,
     /// Connections lost mid-request or mid-frame (clean EOF between
@@ -98,6 +106,7 @@ struct DaemonShared {
     /// the counter [`faults::Fault::ServiceDropConnAt`] selects on.
     wire_seq: AtomicUsize,
     connections: AtomicU64,
+    refused_connections: AtomicU64,
     requests: AtomicU64,
     disconnects: AtomicU64,
     protocol_errors: AtomicU64,
@@ -106,6 +115,8 @@ struct DaemonShared {
     io_timeout: Duration,
     /// Graceful-drain allowance of [`Daemon::shutdown`].
     drain_deadline: Duration,
+    /// Connections served at once (copied out of the service config).
+    max_connections: usize,
     /// `try_clone`d handles of live connections, for shutdown: closing
     /// them unblocks handler threads parked in `read_frame`.
     streams: Mutex<Vec<ConnEntry>>,
@@ -137,17 +148,20 @@ impl Daemon {
         let addr = listener.local_addr()?;
         let io_timeout = config.io_timeout;
         let drain_deadline = config.drain_deadline;
+        let max_connections = config.max_connections;
         let shared = Arc::new(DaemonShared {
             service: SynthService::start(config),
             open: AtomicBool::new(true),
             wire_seq: AtomicUsize::new(0),
             connections: AtomicU64::new(0),
+            refused_connections: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             disconnects: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
             io_timeout,
             drain_deadline,
+            max_connections,
             streams: Mutex::new(Vec::new()),
             handlers: Mutex::new(Vec::new()),
         });
@@ -172,6 +186,7 @@ impl Daemon {
     pub fn stats(&self) -> DaemonStats {
         DaemonStats {
             connections: self.shared.connections.load(Ordering::Relaxed),
+            refused_connections: self.shared.refused_connections.load(Ordering::Relaxed),
             requests: self.shared.requests.load(Ordering::Relaxed),
             disconnects: self.shared.disconnects.load(Ordering::Relaxed),
             protocol_errors: self.shared.protocol_errors.load(Ordering::Relaxed),
@@ -266,12 +281,20 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<DaemonShared>) {
             break;
         }
         let Ok(stream) = stream else { continue };
+        // Reap the handlers that have exited, so the list holds live
+        // connections rather than every connection ever served.
+        let live = {
+            let mut handlers = lock(&shared.handlers);
+            handlers.retain(|handler| !handler.is_finished());
+            handlers.len()
+        };
+        if live >= shared.max_connections {
+            refuse(stream, shared);
+            continue;
+        }
         let id = next_id;
         next_id += 1;
         shared.connections.fetch_add(1, Ordering::Relaxed);
-        // Reap the handlers that have exited, so the list holds live
-        // connections rather than every connection ever served.
-        lock(&shared.handlers).retain(|handler| !handler.is_finished());
         let busy = Arc::new(AtomicBool::new(false));
         if let Ok(clone) = stream.try_clone() {
             lock(&shared.streams).push(ConnEntry {
@@ -303,6 +326,21 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<DaemonShared>) {
             }
         }
     }
+}
+
+/// Answers a connection past the cap with one
+/// [`ServiceError::ConnectionLimit`] frame and closes it. The write is
+/// non-blocking, so a peer that does not read cannot stall the accept
+/// thread; the answer is best effort, like every answer before a close.
+fn refuse(mut stream: TcpStream, shared: &DaemonShared) {
+    shared.refused_connections.fetch_add(1, Ordering::Relaxed);
+    let refusal = proto::encode_reply(&Err(ServiceError::ConnectionLimit {
+        max_connections: shared.max_connections,
+    }));
+    if stream.set_nonblocking(true).is_ok() {
+        let _ = proto::write_frame(&mut stream, &refusal);
+    }
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
 /// A [`Read`] adapter enforcing one whole-frame deadline over a

@@ -68,6 +68,14 @@ pub enum ServiceError {
         /// Which constraint failed.
         detail: String,
     },
+    /// The daemon refused the connection: it already served
+    /// [`crate::ServiceConfig::max_connections`] connections. Sent as
+    /// the only frame on the refused connection, which is then closed;
+    /// nothing it carried was admitted.
+    ConnectionLimit {
+        /// The daemon's connection cap.
+        max_connections: usize,
+    },
 }
 
 impl fmt::Display for ServiceError {
@@ -99,6 +107,12 @@ impl fmt::Display for ServiceError {
             }
             ServiceError::InvalidConfig { detail } => {
                 write!(f, "invalid service configuration: {detail}")
+            }
+            ServiceError::ConnectionLimit { max_connections } => {
+                write!(
+                    f,
+                    "connection refused: the daemon already serves {max_connections} connections"
+                )
             }
         }
     }

@@ -1375,6 +1375,10 @@ fn enc_service_error(enc: &mut Enc, err: &ServiceError) {
             enc.str(client);
             enc.usize(*inflight);
         }
+        ServiceError::ConnectionLimit { max_connections } => {
+            enc.u8(10);
+            enc.usize(*max_connections);
+        }
     }
 }
 
@@ -1393,6 +1397,9 @@ fn dec_service_error(dec: &mut Dec<'_>) -> Decoded<ServiceError> {
         9 => ServiceError::QuotaExceeded {
             client: dec.str()?,
             inflight: dec.usize()?,
+        },
+        10 => ServiceError::ConnectionLimit {
+            max_connections: dec.usize()?,
         },
         tag => {
             return Err(ProtoError::BadTag {
@@ -1581,6 +1588,7 @@ mod tests {
                 client: "tenant-a".into(),
                 inflight: 4,
             },
+            ServiceError::ConnectionLimit { max_connections: 3 },
         ];
         for err in errors {
             assert_eq!(roundtrip_reply(&Err(err.clone())), Err(err));

@@ -139,6 +139,11 @@ pub struct ServiceConfig {
     /// How long [`crate::Daemon::shutdown`] lets in-flight connections
     /// finish before severing them. Unused by the in-process service.
     pub drain_deadline: Duration,
+    /// Connections the daemon serves at once (one handler thread
+    /// each). A connection past the cap gets one
+    /// [`ServiceError::ConnectionLimit`] frame and is closed. Unused by
+    /// the in-process service.
+    pub max_connections: usize,
 }
 
 impl Default for ServiceConfig {
@@ -157,6 +162,7 @@ impl Default for ServiceConfig {
             idempotency_capacity: 256,
             io_timeout: Duration::from_secs(30),
             drain_deadline: Duration::from_secs(5),
+            max_connections: 64,
         }
     }
 }
@@ -278,6 +284,13 @@ impl ServiceConfigBuilder {
         self
     }
 
+    /// Connections the daemon serves at once (validated ≥ 1).
+    #[must_use]
+    pub fn max_connections(mut self, max: usize) -> Self {
+        self.config.max_connections = max;
+        self
+    }
+
     /// Validates and returns the configuration.
     ///
     /// # Errors
@@ -285,7 +298,8 @@ impl ServiceConfigBuilder {
     /// [`ServiceError::InvalidConfig`] when `workers == 0`,
     /// `queue_capacity == 0`, `backoff > max_backoff`, the baseline
     /// budget carries a deadline shorter than the first backoff pause
-    /// (every retry would overshoot it), or `io_timeout` is zero.
+    /// (every retry would overshoot it), `io_timeout` is zero, or
+    /// `max_connections` is zero.
     pub fn build(self) -> Result<ServiceConfig, ServiceError> {
         let invalid = |detail: &str| {
             Err(ServiceError::InvalidConfig {
@@ -309,6 +323,9 @@ impl ServiceConfigBuilder {
         }
         if config.io_timeout.is_zero() {
             return invalid("io_timeout must be nonzero (every read would expire instantly)");
+        }
+        if config.max_connections == 0 {
+            return invalid("max_connections must be >= 1 (0 refuses every connection)");
         }
         Ok(config)
     }

@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Mutex, PoisonError};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rt_netlist::cells::majority_celement;
 use rt_service::{
@@ -261,6 +261,73 @@ fn garbage_and_version_mismatch_get_protocol_errors_then_the_connection_closes()
     let stats = daemon.stats();
     assert_eq!(stats.protocol_errors, 3);
     assert_eq!(stats.requests, 0, "nothing malformed was ever admitted");
+    daemon.shutdown();
+}
+
+#[test]
+fn connections_past_the_cap_get_one_typed_refusal_then_close() {
+    use rt_service::proto;
+    use std::net::TcpStream;
+
+    let _suite = suite_guard();
+    let config = ServiceConfig::builder()
+        .max_connections(2)
+        .build()
+        .expect("a valid cap");
+    let daemon = Daemon::bind(config, "127.0.0.1:0").expect("bind ephemeral port");
+    let addr = daemon.local_addr();
+
+    // Two connections, each proven served, fill the cap.
+    let mut first = DaemonClient::connect(addr).expect("connect");
+    let mut second = DaemonClient::connect(addr).expect("connect");
+    assert_eq!(first.ping(1), Ok(1));
+    assert_eq!(second.ping(2), Ok(2));
+
+    // The third gets the typed refusal as its only frame, then EOF.
+    let mut third = TcpStream::connect(addr).expect("the listener still accepts");
+    let frame = proto::read_frame(&mut third)
+        .expect("the refusal arrives")
+        .expect("a reply frame");
+    assert_eq!(
+        proto::decode_reply(&frame).expect("reply decodes"),
+        Err(ServiceError::ConnectionLimit { max_connections: 2 })
+    );
+    assert_eq!(
+        proto::read_frame(&mut third).expect("EOF after the refusal"),
+        None,
+        "the daemon closes a refused connection"
+    );
+    // Through the client, the refusal arrives typed and poisons it.
+    let mut fourth = DaemonClient::connect(addr).expect("connect");
+    match fourth.submit(&Request::summary(models::fifo_stg())) {
+        // The request may reach the closed socket first; then the
+        // daemon's reset can beat its refusal frame.
+        Err(ServiceError::ConnectionLimit { max_connections: 2 } | ServiceError::Disconnected) => {}
+        other => panic!("expected a refusal, got {other:?}"),
+    }
+    assert!(fourth.is_poisoned());
+    let stats = daemon.stats();
+    assert_eq!(stats.connections, 2);
+    assert_eq!(stats.refused_connections, 2);
+    assert_eq!(
+        stats.requests, 0,
+        "nothing a refused peer sent was admitted"
+    );
+
+    // Hanging up frees a slot once the handler exits.
+    drop(first);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut fifth = loop {
+        let mut client = DaemonClient::connect(addr).expect("connect");
+        if client.ping(5) == Ok(5) {
+            break client;
+        }
+        assert!(Instant::now() < deadline, "the freed slot never reopened");
+        thread::sleep(Duration::from_millis(5));
+    };
+    assert!(fifth.submit(&Request::summary(models::fifo_stg())).is_ok());
+    assert_eq!(second.ping(6), Ok(6), "the capped daemon kept serving");
+    assert_eq!(daemon.stats().connections, 3);
     daemon.shutdown();
 }
 

@@ -255,6 +255,10 @@ fn config_builder_validates_the_combination() {
                 .build(),
             "deadline",
         ),
+        (
+            ServiceConfig::builder().max_connections(0).build(),
+            "max_connections",
+        ),
     ] {
         match broken {
             Err(ServiceError::InvalidConfig { detail }) => assert!(
