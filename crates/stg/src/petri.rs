@@ -25,6 +25,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 use crate::error::StgError;
 use crate::marking::{MarkingLayout, PackedMarking};
@@ -178,9 +179,18 @@ fn offset(len: usize) -> u32 {
     u32::try_from(len).expect("net storage exceeds u32 offsets")
 }
 
+/// Where entry `index` lies in storage whose entries end at `ends`:
+/// entry 0 starts at 0, every other entry where the previous one ends.
+fn span(ends: &[u32], index: usize) -> Range<usize> {
+    let start = match index {
+        0 => 0,
+        _ => ends[index - 1] as usize,
+    };
+    start..ends[index] as usize
+}
+
 /// Variable-length rows stored back to back: row `r` is
-/// `items[start(r)..ends[r]]`, where row 0 starts at 0 and every other
-/// row starts where the previous one ends.
+/// `items[span(&ends, r)]`.
 #[derive(Debug, Clone)]
 struct Rows<T> {
     items: Vec<T>,
@@ -213,15 +223,12 @@ impl<T: Copy> Rows<T> {
         self.ends.len()
     }
 
-    fn start(&self, row: usize) -> usize {
-        match row {
-            0 => 0,
-            _ => self.ends[row - 1] as usize,
-        }
+    fn span(&self, row: usize) -> Range<usize> {
+        span(&self.ends, row)
     }
 
     fn row(&self, row: usize) -> &[T] {
-        &self.items[self.start(row)..self.ends[row] as usize]
+        &self.items[self.span(row)]
     }
 
     /// Adds an empty last row.
@@ -247,8 +254,8 @@ impl<T: Copy> Rows<T> {
     }
 }
 
-/// Names stored back to back in one `String`: name `i` ends at
-/// `ends[i]` and starts where name `i - 1` ends.
+/// Names stored back to back in one `String`: name `i` is
+/// `text[span(&ends, i)]`.
 #[derive(Debug, Clone, Default)]
 struct Names {
     text: String,
@@ -277,11 +284,7 @@ impl Names {
     }
 
     fn get(&self, index: usize) -> &str {
-        let start = match index {
-            0 => 0,
-            _ => self.ends[index - 1] as usize,
-        };
-        &self.text[start..self.ends[index] as usize]
+        &self.text[span(&self.ends, index)]
     }
 
     fn position(&self, name: &str) -> Option<u32> {
@@ -323,7 +326,7 @@ fn check_mirror(arcs: &Rows<Arc>, lists: &Rows<TransitionId>, role: &str) -> Res
         }
     }
     let disagrees = |p: usize| format!("place {p} {role} list disagrees with the transition arcs");
-    let mut fill: Vec<usize> = (0..places).map(|p| lists.start(p)).collect();
+    let mut fill: Vec<usize> = (0..places).map(|p| lists.span(p).start).collect();
     let mut transposed = vec![TransitionId(0); lists.items.len()];
     for t in 0..transitions {
         for arc in arcs.row(t) {
@@ -337,7 +340,7 @@ fn check_mirror(arcs: &Rows<Arc>, lists: &Rows<TransitionId>, role: &str) -> Res
     }
     let mut sorted = lists.items.clone();
     for (p, &filled) in fill.iter().enumerate() {
-        let range = lists.start(p)..lists.ends[p] as usize;
+        let range = lists.span(p);
         if filled != range.end {
             return Err(disagrees(p));
         }
