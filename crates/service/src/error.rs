@@ -68,7 +68,7 @@ pub enum ServiceError {
         /// Which constraint failed.
         detail: String,
     },
-    /// The daemon refused the connection: it already served
+    /// The daemon refused the connection: it was already serving
     /// [`crate::ServiceConfig::max_connections`] connections. Sent as
     /// the only frame on the refused connection, which is then closed;
     /// nothing it carried was admitted.

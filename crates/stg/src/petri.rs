@@ -7,15 +7,20 @@
 //!
 //! # Storage layout
 //!
-//! A net is stored flat, so cloning, caching or decoding one costs a
-//! dozen allocations whatever its size:
+//! A net is stored flat, so a net of any size is a dozen heap
+//! allocations, and cloning one costs no more:
 //!
 //! * the place names and the transition names each live in one `String`
-//!   arena with a `Vec<u32>` of end offsets;
+//!   arena with a `Vec<u32>` of offsets (name `i` is the text between
+//!   offsets `i` and `i + 1`; the first offset is 0);
 //! * presets and postsets are compressed sparse rows (CSR) over
 //!   transitions: one `Vec<Arc>` of every row back to back plus a
-//!   `Vec<u32>` of row end offsets;
+//!   `Vec<u32>` of row offsets in the same form;
 //! * consumers and producers are CSR rows over places in the same way.
+//!
+//! The leading 0 keeps a row lookup to two loads with no branch, which
+//! the token game's inner loop (`is_enabled_packed`, `fire_packed_into`)
+//! pays on every transition of every state.
 //!
 //! Every row keeps its arcs in insertion order. An arc added to a row
 //! that is not the last one is inserted at the end of that row's range
@@ -179,30 +184,26 @@ fn offset(len: usize) -> u32 {
     u32::try_from(len).expect("net storage exceeds u32 offsets")
 }
 
-/// Where entry `index` lies in storage whose entries end at `ends`:
-/// entry 0 starts at 0, every other entry where the previous one ends.
-fn span(ends: &[u32], index: usize) -> Range<usize> {
-    let start = match index {
-        0 => 0,
-        _ => ends[index - 1] as usize,
-    };
-    start..ends[index] as usize
+/// Where entry `index` lies in storage whose entry `i` spans
+/// `bounds[i]..bounds[i + 1]` (`bounds` opens with a 0).
+fn span(bounds: &[u32], index: usize) -> Range<usize> {
+    bounds[index] as usize..bounds[index + 1] as usize
 }
 
 /// Variable-length rows stored back to back: row `r` is
-/// `items[span(&ends, r)]`.
+/// `items[span(&bounds, r)]`.
 #[derive(Debug, Clone)]
 struct Rows<T> {
     items: Vec<T>,
-    ends: Vec<u32>,
+    bounds: Vec<u32>,
 }
 
-// Derived `Default` would demand `T: Default`; empty rows need nothing.
+// Not derived: even no rows hold the leading 0 bound.
 impl<T> Default for Rows<T> {
     fn default() -> Self {
         Rows {
             items: Vec::new(),
-            ends: Vec::new(),
+            bounds: vec![0],
         }
     }
 }
@@ -211,20 +212,21 @@ impl<T: Copy> Rows<T> {
     /// Concatenates `rows`, keeping each row's order.
     fn from_rows(rows: Vec<Vec<T>>) -> Self {
         let mut items = Vec::with_capacity(rows.iter().map(Vec::len).sum());
-        let mut ends = Vec::with_capacity(rows.len());
+        let mut bounds = Vec::with_capacity(rows.len() + 1);
+        bounds.push(0);
         for row in rows {
             items.extend(row);
-            ends.push(offset(items.len()));
+            bounds.push(offset(items.len()));
         }
-        Rows { items, ends }
+        Rows { items, bounds }
     }
 
     fn len(&self) -> usize {
-        self.ends.len()
+        self.bounds.len() - 1
     }
 
     fn span(&self, row: usize) -> Range<usize> {
-        span(&self.ends, row)
+        span(&self.bounds, row)
     }
 
     fn row(&self, row: usize) -> &[T] {
@@ -233,16 +235,16 @@ impl<T: Copy> Rows<T> {
 
     /// Adds an empty last row.
     fn push_row(&mut self) {
-        self.ends.push(offset(self.items.len()));
+        self.bounds.push(offset(self.items.len()));
     }
 
     /// Appends `item` to `row`, moving the later rows up by one slot (a
     /// plain push when `row` is the last row).
     fn push_into(&mut self, row: usize, item: T) {
-        let end = self.ends[row] as usize;
+        let end = self.bounds[row + 1] as usize;
         self.items.insert(end, item);
-        for end in &mut self.ends[row..] {
-            *end += 1;
+        for bound in &mut self.bounds[row + 1..] {
+            *bound += 1;
         }
     }
 
@@ -255,19 +257,30 @@ impl<T: Copy> Rows<T> {
 }
 
 /// Names stored back to back in one `String`: name `i` is
-/// `text[span(&ends, i)]`.
-#[derive(Debug, Clone, Default)]
+/// `text[span(&bounds, i)]`.
+#[derive(Debug, Clone)]
 struct Names {
     text: String,
-    ends: Vec<u32>,
+    bounds: Vec<u32>,
+}
+
+// Not derived: even no names hold the leading 0 bound.
+impl Default for Names {
+    fn default() -> Self {
+        Names {
+            text: String::new(),
+            bounds: vec![0],
+        }
+    }
 }
 
 impl Names {
     fn from_names(names: Vec<String>) -> Self {
         let mut arena = Names {
             text: String::with_capacity(names.iter().map(String::len).sum()),
-            ends: Vec::with_capacity(names.len()),
+            bounds: Vec::with_capacity(names.len() + 1),
         };
+        arena.bounds.push(0);
         for name in &names {
             arena.push(name);
         }
@@ -275,16 +288,16 @@ impl Names {
     }
 
     fn len(&self) -> usize {
-        self.ends.len()
+        self.bounds.len() - 1
     }
 
     fn push(&mut self, name: &str) {
         self.text.push_str(name);
-        self.ends.push(offset(self.text.len()));
+        self.bounds.push(offset(self.text.len()));
     }
 
     fn get(&self, index: usize) -> &str {
-        &self.text[span(&self.ends, index)]
+        &self.text[span(&self.bounds, index)]
     }
 
     fn position(&self, name: &str) -> Option<u32> {
@@ -331,7 +344,7 @@ fn check_mirror(arcs: &Rows<Arc>, lists: &Rows<TransitionId>, role: &str) -> Res
     for t in 0..transitions {
         for arc in arcs.row(t) {
             let p = arc.place.index();
-            if fill[p] == lists.ends[p] as usize {
+            if fill[p] == lists.span(p).end {
                 return Err(disagrees(p));
             }
             transposed[fill[p]] = TransitionId(offset(t));
@@ -963,9 +976,10 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_rejects_lists_that_disagree_with_the_arcs() {
-        // A missing entry, an extra entry, and a same-length list that
-        // names the wrong transition.
+    fn from_parts_rejects_inconsistent_views() {
+        // Per-place lists that disagree with the arcs: a missing entry,
+        // an extra entry, and same-length lists naming the wrong
+        // transitions.
         let mut missing = ring2_parts();
         missing.4[1].clear();
         let mut extra = ring2_parts();
